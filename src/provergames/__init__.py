@@ -20,7 +20,7 @@ from .games import (
     pcp_triple_distribution,
     validate,
 )
-from .lp import Constraint, LinearProgram, LpSolution, solve_lp
+from .lp import Constraint, LinearProgram, LpSolution, VerificationError, solve_lp
 from .transforms import (
     OneInThreeFormula,
     PrefixQuestionIndex,

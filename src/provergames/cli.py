@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog, files, quantum, rounding, sampling, scalars, transforms, values
+from . import (catalog, files, lp, quantum, rounding, sampling, scalars,
+               transforms, values)
 from .rounding import InequalityReport, InequalityRow
 
 
@@ -350,8 +351,8 @@ _SUITES = {
 def _cmd_verify(args):
     try:
         report = _SUITES[args.suite](args)
-    except AssertionError as e:
-        print(f"verification assertion failed: {e}", file=sys.stderr)
+    except (AssertionError, lp.VerificationError) as e:
+        print(f"verification failed: {e}", file=sys.stderr)
         return 1
     return _print_report(report, args.json, f"verify {args.suite} "
                          f"(seed={args.seed}, samples={args.samples})")

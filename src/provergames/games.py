@@ -43,7 +43,13 @@ def max_table_entries():
     raw = os.environ.get(SIZE_GUARD_ENV)
     if raw is None:
         return DEFAULT_MAX_TABLE
-    return int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0  # reported below, like any other non-positive value
+    if limit <= 0:
+        raise ValueError(f"{SIZE_GUARD_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def check_table_size(entries, what):

@@ -48,6 +48,14 @@ class LpSizeError(ValueError):
     """The LP exceeds the configured size guard."""
 
 
+class VerificationError(Exception):
+    """A result failed an independent correctness check.
+
+    Raised explicitly rather than by ``assert``, so the check also runs under
+    ``python -O``.
+    """
+
+
 def _to_rat(x):
     if isinstance(x, float):
         raise scalars.ModeError("linear programs require rational-mode scalars")
@@ -238,7 +246,8 @@ def solve_lp(lp):
                     if arow[j]:
                         zc[j] += arow[j]
         status = _run_simplex(A, b, zc, basis, non_artificial)
-        assert status == OPTIMAL  # phase 1 objective is bounded by 0
+        if status != OPTIMAL:  # phase 1 objective is bounded by 0
+            raise VerificationError(f"phase 1 of the simplex ended {status}")
         if any(b[i] and art_col[i] == basis[i] for i in range(m)):
             return LpSolution(INFEASIBLE)
         infeas = sum((b[i] for i in range(m) if basis[i] == art_col[i]), zero)
@@ -291,7 +300,8 @@ def solve_lp(lp):
     sol = LpSolution(OPTIMAL, _to_frac(value), tuple(_to_frac(v) for v in x),
                      tuple(_to_frac(y) for y in duals))
     problems = check_certificates(lp, sol)
-    assert not problems, f"simplex certificate check failed: {problems}"
+    if problems:
+        raise VerificationError(f"simplex certificate check failed: {problems}")
     return sol
 
 

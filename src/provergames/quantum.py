@@ -111,24 +111,37 @@ def validate_strategy(s):
     return report
 
 
+def povm_stack(povms):
+    """The elements of equally shaped POVMs as one ``(Q, A, d, d)`` array."""
+    return np.array([p.elements for p in povms], dtype=complex)
+
+
+def _joint_tables(psi_m, m_arr, n_arr):
+    """p[q1, q2, a1, a2] = <psi| M_{q1}^{a1} (x) N_{q2}^{a2} |psi> for stacked
+    POVMs, with negative rounding clamped to 0; also returns each block's sum.
+
+    Raises ValueError on an imaginary part above HERMITIAN_TOL or a block
+    that does not sum to 1 within COMPLETENESS_TOL.
+    """
+    k = psi_m.conj().T @ m_arr @ psi_m
+    p = np.einsum("xajl,ybjl->xyab", k, n_arr)
+    bad = np.abs(p.imag) > HERMITIAN_TOL
+    if bad.any():
+        raise ValueError("joint probability has imaginary part "
+                         f"{float(p.imag[bad][0])!r}")
+    p = np.maximum(p.real, 0.0)
+    totals = p.sum(axis=(2, 3))
+    off = np.abs(totals - 1.0) > COMPLETENESS_TOL
+    if off.any():
+        raise ValueError(f"joint distribution sums to {float(totals[off][0])!r}")
+    return p, totals
+
+
 def joint_distribution(s, q1, q2):
     """p(a1, a2) = <psi| M_{q1}^{a1} (x) N_{q2}^{a2} |psi> as a nested tuple."""
-    psi_m = s.state_matrix()
-    povm1, povm2 = s.povms1[q1], s.povms2[q2]
-    out = []
-    for m in povm1.elements:
-        mpsi = m @ psi_m
-        row = []
-        for n in povm2.elements:
-            p = np.vdot(psi_m, mpsi @ n.T)
-            if abs(p.imag) > HERMITIAN_TOL:
-                raise ValueError(f"joint probability has imaginary part {p.imag!r}")
-            row.append(max(p.real, 0.0))
-        out.append(row)
-    total = sum(sum(row) for row in out)
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise ValueError(f"joint distribution sums to {total!r}")
-    return tuple(tuple(row) for row in out)
+    p, _ = _joint_tables(s.state_matrix(), povm_stack(s.povms1[q1:q1 + 1]),
+                         povm_stack(s.povms2[q2:q2 + 1]))
+    return tuple(tuple(row) for row in p[0, 0].tolist())
 
 
 def to_bipartite_strategy(s, game):
@@ -142,16 +155,11 @@ def to_bipartite_strategy(s, game):
     if any(len(p) != game.a1_count for p in s.povms1) or \
             any(len(p) != game.a2_count for p in s.povms2):
         raise DimensionError("strategy answer counts do not match the game")
-    theta = []
-    for q1 in range(game.q1_count):
-        row = []
-        for q2 in range(game.q2_count):
-            block = joint_distribution(s, q1, q2)
-            total = sum(sum(r) for r in block)
-            row.append(tuple(tuple(v / total for v in r) for r in block))
-        theta.append(tuple(row))
+    p, totals = _joint_tables(s.state_matrix(), povm_stack(s.povms1),
+                              povm_stack(s.povms2))
+    theta = (p / totals[:, :, None, None]).tolist()
     return BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
-                             game.a2_count, tuple(theta), scalars.FLOAT)
+                             game.a2_count, theta, scalars.FLOAT)
 
 
 def psd_sqrt(op, tol=PSD_TOL):

@@ -22,7 +22,7 @@ from .games import (
     eval_two_prover,
     iter_tuples,
 )
-from .lp import EQUAL, LinearProgram, OPTIMAL, solve_lp
+from .lp import EQUAL, LinearProgram, OPTIMAL, VerificationError, solve_lp
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,8 @@ def no_signaling_value(game):
         add({("m2", q2, a2): one for a2 in range(game.a2_count)}, one)
 
     sol = solve_lp(LinearProgram(n, tuple(objective), tuple(rows)))
-    assert sol.status == OPTIMAL  # the polytope is nonempty and bounded
+    if sol.status != OPTIMAL:  # the polytope is nonempty and bounded
+        raise VerificationError(f"no-signaling LP ended {sol.status}")
 
     m1 = [[sol.x[var[("m1", q1, a1)]] for a1 in range(game.a1_count)]
           for q1 in range(game.q1_count)]
@@ -245,11 +246,6 @@ def no_signaling_value(game):
 # see-saw lower bound on the entangled value
 
 
-def _povm_arrays(povms, dim):
-    return np.array([[np.asarray(e) for e in p.elements] for p in povms],
-                    dtype=complex).reshape(len(povms), len(povms[0]), dim, dim)
-
-
 def _game_weight_array(game):
     gf = game.to_float()
     pi = np.array(gf.pi, dtype=float)
@@ -270,42 +266,50 @@ def _objective(piR, psi_m, m_arr, n_arr):
     return float(np.real(np.einsum("qpab,qaik,pbki->", piR, m_arr, k)))
 
 
-def _split_projector(p_elem, rank, c_diff):
-    """Optimal re-split of a projector into two parts for Tr(P+ C) - style
-    objectives: project onto the nonnegative eigenspace of the compressed
-    difference operator."""
-    vals, vecs = np.linalg.eigh(p_elem)
-    basis = vecs[:, np.argsort(vals)[::-1][:rank]]
-    comp = basis.conj().T @ c_diff @ basis
-    w, v = np.linalg.eigh((comp + comp.conj().T) / 2)
-    plus = basis @ v[:, w >= 0]
-    first = plus @ plus.conj().T
-    return first, p_elem - first
+def _resplit_pvms(m_arr, c_arr, sweeps=3):
+    """Pairwise projector re-splits of every question's PVM at once.
 
-
-def _improve_pvm(elems, c_list, sweeps=3):
-    """Pairwise projector re-splits; objective sum Tr(M_a C_a) never drops."""
-    outcomes = len(elems)
-    elems = [e.copy() for e in elems]
-    scores = [float(np.real(np.trace(e @ c))) for e, c in zip(elems, c_list)]
+    ``m_arr`` and ``c_arr`` are ``(Q, A, d, d)``.  For each outcome pair
+    (a, b), in a fixed order, each question's P = M_a + M_b is split onto the
+    nonnegative eigenspace of C_a - C_b compressed to the range of P; a
+    question keeps the split only if sum_a Tr(M_a C_a) rises by more than
+    1e-13, so it never drops.  Questions are batched by rank(P) into stacked
+    ``eigh`` calls, and a question leaves after a sweep with no change.
+    """
+    m_arr = m_arr.copy()
+    d = m_arr.shape[-1]
+    scores = np.einsum("qaij,qaji->qa", m_arr, c_arr).real
+    active = np.ones(m_arr.shape[0], dtype=bool)
     for _ in range(sweeps):
-        changed = False
-        for a in range(outcomes):
-            for b in range(a + 1, outcomes):
-                p = elems[a] + elems[b]
-                rank = int(round(float(np.real(np.trace(p)))))
-                if rank == 0:
-                    continue
-                new_a, new_b = _split_projector(p, rank, c_list[a] - c_list[b])
-                sa = float(np.real(np.trace(new_a @ c_list[a])))
-                sb = float(np.real(np.trace(new_b @ c_list[b])))
-                if sa + sb > scores[a] + scores[b] + 1e-13:
-                    elems[a], elems[b] = new_a, new_b
-                    scores[a], scores[b] = sa, sb
-                    changed = True
-        if not changed:
+        changed = np.zeros_like(active)
+        for a, b in itertools.combinations(range(m_arr.shape[1]), 2):
+            p = m_arr[:, a] + m_arr[:, b]
+            rank = np.rint(np.einsum("qii->q", p).real).astype(int)
+            qs = np.flatnonzero(active & (rank > 0))
+            if qs.size == 0:
+                continue
+            p, rank, c_a, c_b = p[qs], rank[qs], c_arr[qs, a], c_arr[qs, b]
+            vecs = np.linalg.eigh(p)[1]
+            first = np.empty_like(p)
+            for r in set(rank.tolist()):
+                g = rank == r
+                basis = vecs[g, :, d - r:]
+                comp = basis.conj().swapaxes(1, 2) @ (c_a[g] - c_b[g]) @ basis
+                w, v = np.linalg.eigh((comp + comp.conj().swapaxes(1, 2)) / 2)
+                plus = basis @ (v * (w >= 0)[:, None, :])
+                first[g] = plus @ plus.conj().swapaxes(1, 2)
+            second = p - first
+            sa = np.einsum("qij,qji->q", first, c_a).real
+            sb = np.einsum("qij,qji->q", second, c_b).real
+            take = sa + sb > scores[qs, a] + scores[qs, b] + 1e-13
+            hit = qs[take]
+            m_arr[hit, a], m_arr[hit, b] = first[take], second[take]
+            scores[hit, a], scores[hit, b] = sa[take], sb[take]
+            changed[hit] = True
+        active &= changed
+        if not active.any():
             break
-    return elems
+    return m_arr
 
 
 def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
@@ -314,10 +318,12 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
 
     Each restart alternates three half-steps: the optimal shared state for
     fixed measurements (top eigenvector of the game operator), then each
-    prover's per-question measurement update (pairwise projector re-splits
-    against the answer-conditional operators).  Every half-step is monotone
-    non-decreasing, the trace of objectives is recorded, and the witness is
-    the best strategy over all restarts (ties keep the earliest restart).
+    prover's measurement update (pairwise projector re-splits against the
+    answer-conditional operators).  A measurement half-step re-splits all of
+    that prover's questions in one batched pass, with stacked ``eigh`` calls
+    per outcome pair.  Every half-step is monotone non-decreasing, the trace
+    of objectives is recorded, and the witness is the best strategy over all
+    restarts (ties keep the earliest restart).
 
     ``classical_seed`` optionally adds a restart initialized at a
     deterministic strategy, which pins the result above that strategy's
@@ -343,8 +349,8 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
 
     best_val, best_strategy, best_trace, restart_values = -1.0, None, None, []
     for s in starts:
-        m_arr = _povm_arrays(s.povms1, d1)
-        n_arr = _povm_arrays(s.povms2, d2)
+        m_arr = quantum.povm_stack(s.povms1)
+        n_arr = quantum.povm_stack(s.povms2)
         psi = s.state
         trace = []
         prev = -1.0
@@ -358,14 +364,12 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
             psi_m = psi.reshape(d1, d2)
             k2 = np.einsum("ij,pakj,lk->pail", psi_m, n_arr, psi_m.conj())
             c1 = np.einsum("qpab,pbil->qail", piR, k2)
-            for q1 in range(piR.shape[0]):
-                m_arr[q1] = _improve_pvm(list(m_arr[q1]), list(c1[q1]))
+            m_arr = _resplit_pvms(m_arr, c1)
             trace.append(_objective(piR, psi_m, m_arr, n_arr))
 
             b = np.einsum("ij,qaik,kl->qajl", psi_m.conj(), m_arr, psi_m)
             c2 = np.einsum("qpab,qajl->pblj", piR, b)
-            for q2 in range(piR.shape[1]):
-                n_arr[q2] = _improve_pvm(list(n_arr[q2]), list(c2[q2]))
+            n_arr = _resplit_pvms(n_arr, c2)
             val = _objective(piR, psi_m, m_arr, n_arr)
             trace.append(val)
             if val - prev < 1e-12:

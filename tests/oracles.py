@@ -144,3 +144,44 @@ def chsh_optimal_qubit_strategy():
     bob = (pvm((sz + sx) / np.sqrt(2)), pvm((sz - sx) / np.sqrt(2)))
     state = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return QuantumStrategy(2, 2, state, alice, bob)
+
+
+def _naive_split_projector(p_elem, rank, c_diff):
+    vals, vecs = np.linalg.eigh(p_elem)
+    basis = vecs[:, np.argsort(vals)[::-1][:rank]]
+    comp = basis.conj().T @ c_diff @ basis
+    w, v = np.linalg.eigh((comp + comp.conj().T) / 2)
+    plus = basis @ v[:, w >= 0]
+    first = plus @ plus.conj().T
+    return first, p_elem - first
+
+
+def naive_improve_pvm(elems, c_list, sweeps=3):
+    """One question's see-saw measurement update, one matrix at a time.
+
+    Sweeps the outcome pairs (a, b) in order; each pair's projector
+    P = M_a + M_b is re-split onto the nonnegative eigenspace of the
+    compressed C_a - C_b, kept only if sum Tr(M_a C_a) rises by more than
+    1e-13.  Rank-0 pairs are skipped; a sweep with no change ends the loop.
+    """
+    outcomes = len(elems)
+    elems = [np.array(e, dtype=complex) for e in elems]
+    scores = [float(np.real(np.trace(e @ c))) for e, c in zip(elems, c_list)]
+    for _ in range(sweeps):
+        changed = False
+        for a in range(outcomes):
+            for b in range(a + 1, outcomes):
+                p = elems[a] + elems[b]
+                rank = int(round(float(np.real(np.trace(p)))))
+                if rank == 0:
+                    continue
+                new_a, new_b = _naive_split_projector(p, rank, c_list[a] - c_list[b])
+                sa = float(np.real(np.trace(new_a @ c_list[a])))
+                sb = float(np.real(np.trace(new_b @ c_list[b])))
+                if sa + sb > scores[a] + scores[b] + 1e-13:
+                    elems[a], elems[b] = new_a, new_b
+                    scores[a], scores[b] = sa, sb
+                    changed = True
+        if not changed:
+            break
+    return elems

@@ -1,8 +1,12 @@
 """Game/formula file formats and the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,37 @@ def test_cli_exit_codes_for_usage_and_parse_errors(tmp_path):
     game_file = tmp_path / "tiny.game"
     cli.run_cli(["catalog", "tiny-1in3", "-o", str(game_file)])
     assert cli.run_cli(["value", "classical", str(game_file)]) == 2
+
+
+@pytest.mark.parametrize("raw", ["1e7", "0", "-5"])
+def test_cli_rejects_bad_size_guard_setting(tmp_path, monkeypatch, capsys, raw):
+    game_file = tmp_path / "chsh.game"
+    assert cli.run_cli(["catalog", "chsh", "-o", str(game_file)]) == 0
+    monkeypatch.setenv("PROVERGAMES_MAX_TABLE", raw)
+    assert cli.run_cli(["value", "classical", str(game_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"PROVERGAMES_MAX_TABLE must be a positive integer, got {raw!r}" in err
+
+
+_PLANTED_CERTIFICATE_DEFECT = """
+import sys
+from provergames import cli, lp
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+lp.check_certificates = lambda program, sol: ["planted defect"]
+sys.exit(cli.run_cli(["verify", "ns-claims", "--seed", "3", "--samples", "1",
+                      "--strategies", "1"]))
+"""
+
+
+def test_cli_verify_catches_planted_defect_under_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED_CERTIFICATE_DEFECT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "simplex certificate check failed: ['planted defect']" in proc.stderr
 
 
 def test_cli_verify_suites_exit_zero():

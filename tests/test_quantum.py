@@ -1,5 +1,7 @@
 """Quantum strategies: POVM validity, induced tables, preprocessing."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from provergames.quantum import (
     validate_povm,
     validate_strategy,
 )
+from provergames.sampling import random_two_prover_game
 from provergames.transforms import oracularize_pcp_dummy
 from oracles import dense_joint_probability
 
@@ -95,6 +98,36 @@ def test_joint_distribution_matches_dense_kron_oracle():
                         strategy.povms2[q2].elements[a2])
                     assert dist[a1][a2] == pytest.approx(max(oracle, 0.0),
                                                          abs=1e-10)
+
+
+def test_to_bipartite_strategy_matches_dense_kron_oracle():
+    # unequal local dimensions catch a transposed state matrix
+    game = random_two_prover_game(random.Random(5), 3, 2, 3, 2).to_float()
+    s = random_strategy(np.random.default_rng(5), game, 2, 3)
+    table = to_bipartite_strategy(s, game)
+    for q1 in range(3):
+        for q2 in range(2):
+            block = joint_distribution(s, q1, q2)
+            for a1 in range(3):
+                for a2 in range(2):
+                    oracle = dense_joint_probability(
+                        s.state, s.povms1[q1].elements[a1], s.povms2[q2].elements[a2])
+                    assert block[a1][a2] == pytest.approx(oracle, abs=1e-12)
+                    assert table.theta[q1][q2][a1][a2] == pytest.approx(oracle, abs=1e-12)
+
+
+def test_joint_distribution_rejects_complex_and_unnormalized_tables():
+    eye = np.eye(2, dtype=complex)
+    plus_zero = np.kron(np.array([1, 1]) / np.sqrt(2), [1, 0]).astype(complex)
+    skew = np.array([[1, 1j], [0, 0]])
+    s = QuantumStrategy(2, 2, plus_zero, (Povm((skew, eye - skew)),),
+                        (Povm((eye, 0 * eye)),))
+    with pytest.raises(ValueError, match="imaginary part"):
+        joint_distribution(s, 0, 0)
+    short = QuantumStrategy(2, 2, plus_zero, (Povm((eye / 2, eye * 0.3)),),
+                            (Povm((eye, 0 * eye)),))
+    with pytest.raises(ValueError, match="sums to"):
+        joint_distribution(short, 0, 0)
 
 
 def test_magic_square_strategy_is_perfect_and_valid():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from provergames import quantum, scalars
+from provergames import quantum, scalars, values
 from provergames.catalog import chsh, magic_square_game
 from provergames.games import (
     MultiRoundGame,
@@ -39,6 +39,7 @@ from oracles import (
     brute_multi_round,
     brute_pcp,
     chsh_optimal_qubit_strategy,
+    naive_improve_pvm,
 )
 
 
@@ -214,6 +215,42 @@ def test_seesaw_classical_seed_floors_the_result():
                                     max_iters=10, seed=1,
                                     classical_seed=cres.witness)
         assert res.value >= float(cres.value) - 1e-9
+
+
+def _random_labelled_pvm(rng, d, outcomes):
+    # each basis vector goes to a random outcome: mixed ranks, some zero
+    u = quantum.random_unitary(rng, d)
+    labels = rng.integers(0, outcomes, size=d)
+    return np.array([u[:, labels == a] @ u[:, labels == a].conj().T
+                     for a in range(outcomes)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_resplit_matches_per_question_reference(d):
+    rng = np.random.default_rng(83 + d)
+    mixed = False
+    for outcomes in (2, 3, 5):
+        q = 12
+        m = np.array([_random_labelled_pvm(rng, d, outcomes) for _ in range(q)])
+        g = (rng.standard_normal((q, outcomes, d, d))
+             + 1j * rng.standard_normal((q, outcomes, d, d)))
+        c = (g + g.conj().swapaxes(-1, -2)) / 2
+        ranks = np.rint(np.einsum("qaii->qa", m).real).astype(int)
+        pair_ranks = [ranks[:, a] + ranks[:, b]
+                      for a, b in itertools.combinations(range(outcomes), 2)]
+        # one batch holds rank-0 and several positive ranks for the same pair
+        mixed |= any((r == 0).any() and len(set(r[r > 0])) > 1 for r in pair_ranks)
+
+        out = values._resplit_pvms(m, c)
+        before = np.einsum("qaij,qaji->q", m, c).real
+        after = np.einsum("qaij,qaji->q", out, c).real
+        for k in range(q):
+            ref = np.array(naive_improve_pvm(list(m[k]), list(c[k])))
+            assert np.max(np.abs(out[k] - ref)) <= 1e-12
+            assert quantum.validate_povm(quantum.Povm(tuple(out[k]),
+                                                      projective=True)) == []
+            assert after[k] >= before[k] - 1e-12
+    assert mixed
 
 
 def test_seesaw_requires_float_mode():
