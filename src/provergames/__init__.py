@@ -23,7 +23,6 @@ from .games import (
 from .lp import Constraint, LinearProgram, LpSolution, VerificationError, solve_lp
 from .transforms import (
     OneInThreeFormula,
-    PrefixQuestionIndex,
     honest_strategy_from_multi_round,
     honest_strategy_from_proof,
     oracularize_multi_round,

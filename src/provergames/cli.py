@@ -5,7 +5,8 @@ transformed game), ``verify`` (run a rounding/inequality suite), ``gen``
 (build a PCP game from a formula), ``catalog`` (write a built-in game).
 
 Exit codes: 0 on success, 1 when a verification suite finds a violated
-inequality, 2 on usage or parse errors.
+inequality or a result fails its independent correctness check, 2 on usage
+or parse errors.
 """
 
 from __future__ import annotations
@@ -78,10 +79,7 @@ def _witness_payload(result):
         return {"type": "deterministic", "f1": list(w.f1), "f2": list(w.f2)}
     if isinstance(w, BipartiteStrategy):
         return {"type": "bipartite",
-                "theta": [[[[_fmt(v) for v in a1row]
-                            for a1row in w.theta[q1][q2]]
-                           for q2 in range(w.q2_count)]
-                          for q1 in range(w.q1_count)]}
+                "theta": np.frompyfunc(_fmt, 1, 1)(w.theta).tolist()}
     if isinstance(w, MultiRoundStrategy):
         return {"type": "multi_round",
                 "tables": [[[_fmt(v) for v in dist] for dist in table]
@@ -349,11 +347,7 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    try:
-        report = _SUITES[args.suite](args)
-    except (AssertionError, lp.VerificationError) as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
+    report = _SUITES[args.suite](args)
     return _print_report(report, args.json, f"verify {args.suite} "
                          f"(seed={args.seed}, samples={args.samples})")
 
@@ -423,6 +417,9 @@ def run_cli(argv):
         args.questions = 2 if args.suite in ("lemma-wns", "ns-claims") else 3
     try:
         return args.func(args)
+    except lp.VerificationError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return 1
     except (files.ParseError, FileNotFoundError, ValueError,
             scalars.ModeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import scalars
 from .games import (MultiRoundGame, PcpGame, TwoProverGame, check_table_size,
                     validate)
@@ -61,27 +63,11 @@ def serialize_game(game):
         lines.append(f"mode {game.mode}")
         lines.append(f"counts {game.q1_count} {game.q2_count} "
                      f"{game.a1_count} {game.a2_count}")
-        entries = []
-        rvals = []
-        binary = True
-        for q1 in range(game.q1_count):
-            for q2 in range(game.q2_count):
-                if game.pi[q1][q2]:
-                    entries.append(f"pi {q1} {q2} {scalars.format_scalar(game.pi[q1][q2])}")
-                for a1 in range(game.a1_count):
-                    for a2 in range(game.a2_count):
-                        v = game.R[q1][q2][a1][a2]
-                        if v:
-                            rvals.append(((q1, q2, a1, a2), v))
-                            if v != 1:
-                                binary = False
-        lines.extend(entries)
-        for idx, v in rvals:
-            if binary:
-                lines.append("accept " + " ".join(map(str, idx)))
-            else:
-                lines.append("rvalue " + " ".join(map(str, idx)) + " "
-                             + scalars.format_scalar(v))
+        for q1, q2 in np.argwhere(game.pi).tolist():
+            lines.append(f"pi {q1} {q2} {scalars.format_scalar(game.pi[q1, q2])}")
+        cells = np.nonzero(game.R.astype(bool))
+        _predicate_lines(lines, list(zip(zip(*(c.tolist() for c in cells)),
+                                         game.R[cells])))
     elif isinstance(game, MultiRoundGame):
         lines.append(f"kind {KIND_MULTI_ROUND}")
         lines.append(f"mode {game.mode}")
@@ -91,21 +77,11 @@ def serialize_game(game):
                 lines.append("pi " + " ".join(map(str, qtup)) + " "
                              + scalars.format_scalar(game.pi[qidx]))
         na = game.a_count**game.rounds
-        rvals = []
-        binary = True
-        for qidx, qtup in enumerate(game.q_tuples()):
-            for aidx, atup in enumerate(iter_tuples(game.a_count, game.rounds)):
-                v = game.R[qidx * na + aidx]
-                if v:
-                    rvals.append((qtup + atup, v))
-                    if v != 1:
-                        binary = False
-        for idx, v in rvals:
-            if binary:
-                lines.append("accept " + " ".join(map(str, idx)))
-            else:
-                lines.append("rvalue " + " ".join(map(str, idx)) + " "
-                             + scalars.format_scalar(v))
+        _predicate_lines(lines, [
+            (qtup + atup, game.R[qidx * na + aidx])
+            for qidx, qtup in enumerate(game.q_tuples())
+            for aidx, atup in enumerate(iter_tuples(game.a_count, game.rounds))
+            if game.R[qidx * na + aidx]])
     elif isinstance(game, PcpGame):
         lines.append(f"kind {KIND_PCP}")
         lines.append(f"mode {game.mode}")
@@ -114,20 +90,10 @@ def serialize_game(game):
             if v:
                 lines.append("pi " + " ".join(map(str, t)) + " "
                              + scalars.format_scalar(v))
-        rvals = []
-        binary = True
-        for t, row in game.R:
-            for aidx, atup in enumerate(iter_tuples(game.alphabet_size, 3)):
-                if row[aidx]:
-                    rvals.append((t + atup, row[aidx]))
-                    if row[aidx] != 1:
-                        binary = False
-        for idx, v in rvals:
-            if binary:
-                lines.append("accept " + " ".join(map(str, idx)))
-            else:
-                lines.append("rvalue " + " ".join(map(str, idx)) + " "
-                             + scalars.format_scalar(v))
+        _predicate_lines(lines, [
+            (t + atup, row[aidx]) for t, row in game.R
+            for aidx, atup in enumerate(iter_tuples(game.alphabet_size, 3))
+            if row[aidx]])
     else:
         raise TypeError(f"cannot serialize {type(game).__name__}")
 
@@ -138,6 +104,18 @@ def serialize_game(game):
     if game.meta is not None:
         lines.append("meta " + json.dumps(game.meta, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def _predicate_lines(lines, rvals):
+    """Append the nonzero predicate entries ``(index tuple, value)``: as
+    ``accept`` lines when all of them are 1, else as ``rvalue`` lines."""
+    binary = all(v == 1 for _, v in rvals)
+    for idx, v in rvals:
+        if binary:
+            lines.append("accept " + " ".join(map(str, idx)))
+        else:
+            lines.append("rvalue " + " ".join(map(str, idx)) + " "
+                         + scalars.format_scalar(v))
 
 
 def parse_game(text):
@@ -211,17 +189,16 @@ def parse_game(text):
             raise ParseError(counts_line, "two-prover counts need 4 integers")
         q1, q2, a1, a2 = counts
         check_table_size(q1 * q2 * (1 + a1 * a2), "two-prover game file")
-        pi = [[zero] * q2 for _ in range(q1)]
-        R = [[[[zero] * a2 for _ in range(a1)] for _ in range(q2)] for _ in range(q1)]
+        pi = scalars.zeros((q1, q2), mode)
+        R = scalars.zeros((q1, q2, a1, a2), mode)
         for parts, ln in pi_entries:
             idx = parse_indices(parts[:-1], 2, ln)
             _check_range(idx, [q1, q2], ln)
-            pi[idx[0]][idx[1]] = _parse_value(parts[-1], mode, ln)
+            pi[tuple(idx)] = _parse_value(parts[-1], mode, ln)
         for token, parts, ln in r_entries:
             idx = parse_indices(parts if token == "accept" else parts[:-1], 4, ln)
             _check_range(idx, [q1, q2, a1, a2], ln)
-            v = one if token == "accept" else _parse_value(parts[-1], mode, ln)
-            R[idx[0]][idx[1]][idx[2]][idx[3]] = v
+            R[tuple(idx)] = one if token == "accept" else _parse_value(parts[-1], mode, ln)
         game = TwoProverGame(q1, q2, a1, a2, pi, R, mode, labels=label_tuples,
                              meta=meta)
     elif kind == KIND_MULTI_ROUND:

@@ -15,6 +15,10 @@ exactly 0/1 for ordinary games, and strictly fractional entries appear only
 where a transform integrates out verifier randomness that is hidden from
 both provers (see ``transforms.oracularize_pcp_dummy``) or where several
 clauses share a variable triple (``transforms.pcp_from_1in3``).
+
+Two-prover games and strategies hold read-only numpy arrays (float64 in
+float mode, ``Fraction`` objects in rational mode); the single-prover types
+hold nested tuples.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import scalars
-from .indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
+from .indexing import decode_tuple, encode_tuple, iter_tuples
 
 DEFAULT_MAX_TABLE = 10_000_000
 #: Environment variable overriding the dense-table entry guard.
@@ -69,24 +75,47 @@ def _freeze(table):
     return table
 
 
-def _flatten(table):
-    if isinstance(table, tuple):
-        for x in table:
-            yield from _flatten(x)
+def _table(data, mode):
+    """Nested lists, tuples or an array as a read-only table array.
+
+    A float-mode table of floats is float64.  Anything else is an object
+    array that keeps each entry as given: the ``Fraction``s of a rational
+    table, or entries of the wrong mode and ragged rows, which ``validate``
+    then reports.
+    """
+    if mode == scalars.FLOAT and getattr(data, "dtype", None) == np.float64:
+        table = np.array(data)
     else:
-        yield table
+        table = np.array(data, dtype=object)
+        if mode == scalars.FLOAT and all(isinstance(v, float) for v in table.flat):
+            table = table.astype(float)
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True, eq=True)
+def _same_tables(a, b, names):
+    """Equal shape, mode and table entries; labels and meta do not count."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return (a.shape == b.shape and a.mode == b.mode
+            and all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names))
+
+
+@dataclass(frozen=True, eq=False)
 class TwoProverGame:
-    """The six-tuple (Q1, Q2, A1, A2, R, pi) of a two-prover one-round game."""
+    """The six-tuple (Q1, Q2, A1, A2, R, pi) of a two-prover one-round game.
+
+    ``pi`` is a ``(Q1, Q2)`` array and ``R`` a ``(Q1, Q2, A1, A2)`` array
+    with entries in [0, 1]; both are read-only.  The constructor also takes
+    nested lists or tuples.
+    """
 
     q1_count: int
     q2_count: int
     a1_count: int
     a2_count: int
-    pi: tuple  # [q1][q2] -> scalar
-    R: tuple  # [q1][q2][a1][a2] -> scalar in [0, 1]
+    pi: np.ndarray
+    R: np.ndarray
     mode: str = scalars.RATIONAL
     labels: dict | None = field(default=None, compare=False)
     meta: dict | None = field(default=None, compare=False)
@@ -96,28 +125,25 @@ class TwoProverGame:
         check_table_size(self.q1_count * self.q2_count
                          * (1 + self.a1_count * self.a2_count),
                          "two-prover game tables")
-        object.__setattr__(self, "pi", _freeze(self.pi))
-        object.__setattr__(self, "R", _freeze(self.R))
+        object.__setattr__(self, "pi", _table(self.pi, self.mode))
+        object.__setattr__(self, "R", _table(self.R, self.mode))
 
-    def question_pairs(self):
-        for q1 in range(self.q1_count):
-            for q2 in range(self.q2_count):
-                yield q1, q2
+    def __eq__(self, other):
+        return _same_tables(self, other, ("pi", "R"))
+
+    @property
+    def shape(self):
+        return (self.q1_count, self.q2_count, self.a1_count, self.a2_count)
 
     def support(self):
-        z = scalars.zero(self.mode)
-        return [(q1, q2) for q1, q2 in self.question_pairs() if self.pi[q1][q2] > z]
+        return [tuple(p) for p in np.argwhere(self.pi > 0).tolist()]
 
     def to_float(self):
         if self.mode == scalars.FLOAT:
             return self
-        pi = tuple(tuple(float(v) for v in row) for row in self.pi)
-        R = _freeze([[[[float(self.R[q1][q2][a1][a2]) for a2 in range(self.a2_count)]
-                       for a1 in range(self.a1_count)]
-                      for q2 in range(self.q2_count)]
-                     for q1 in range(self.q1_count)])
         return TwoProverGame(self.q1_count, self.q2_count, self.a1_count,
-                             self.a2_count, pi, R, scalars.FLOAT,
+                             self.a2_count, self.pi.astype(float),
+                             self.R.astype(float), scalars.FLOAT,
                              self.labels, self.meta)
 
 
@@ -200,15 +226,16 @@ class PcpGame:
                        scalars.FLOAT, self.labels, self.meta)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteStrategy:
-    """Conditional distribution table theta(a1, a2 | q1, q2)."""
+    """Conditional distribution table theta(a1, a2 | q1, q2), a read-only
+    ``(Q1, Q2, A1, A2)`` array like ``TwoProverGame.R``."""
 
     q1_count: int
     q2_count: int
     a1_count: int
     a2_count: int
-    theta: tuple  # [q1][q2][a1][a2]
+    theta: np.ndarray
     mode: str = scalars.RATIONAL
 
     def __post_init__(self):
@@ -216,10 +243,14 @@ class BipartiteStrategy:
         check_table_size(self.q1_count * self.q2_count
                          * self.a1_count * self.a2_count,
                          "conditional strategy table")
-        object.__setattr__(self, "theta", _freeze(self.theta))
+        object.__setattr__(self, "theta", _table(self.theta, self.mode))
 
-    def prob(self, a1, a2, q1, q2):
-        return self.theta[q1][q2][a1][a2]
+    def __eq__(self, other):
+        return _same_tables(self, other, ("theta",))
+
+    @property
+    def shape(self):
+        return (self.q1_count, self.q2_count, self.a1_count, self.a2_count)
 
 
 @dataclass(frozen=True, eq=True)
@@ -233,14 +264,17 @@ class DeterministicBipartiteStrategy:
         object.__setattr__(self, "f1", tuple(self.f1))
         object.__setattr__(self, "f2", tuple(self.f2))
 
+    def answer_cells(self):
+        """Index of the answer pair of every question pair, for a
+        ``(Q1, Q2, A1, A2)`` table."""
+        f1, f2 = np.array(self.f1, dtype=int), np.array(self.f2, dtype=int)
+        return (np.arange(len(f1))[:, None], np.arange(len(f2))[None, :],
+                f1[:, None], f2[None, :])
+
     def embed(self, a1_count, a2_count, mode=scalars.RATIONAL):
         """Point-mass BipartiteStrategy representation."""
-        one, zero = scalars.one(mode), scalars.zero(mode)
-        theta = [[[[one if (a1 == self.f1[q1] and a2 == self.f2[q2]) else zero
-                    for a2 in range(a2_count)]
-                   for a1 in range(a1_count)]
-                  for q2 in range(len(self.f2))]
-                 for q1 in range(len(self.f1))]
+        theta = scalars.zeros((len(self.f1), len(self.f2), a1_count, a2_count), mode)
+        theta[self.answer_cells()] = scalars.one(mode)
         return BipartiteStrategy(len(self.f1), len(self.f2), a1_count, a2_count,
                                  theta, mode)
 
@@ -329,36 +363,57 @@ class ProofMixture:
 # validation
 
 
-def _check_dist(values, mode, where, report):
-    zero = scalars.zero(mode)
-    total = zero
-    for v in values:
-        if v < zero:
-            report.append(f"{where}: negative entry {v}")
-        total = total + v
+_MODE_TYPES = {scalars.RATIONAL: (Fraction, int), scalars.FLOAT: (float,)}
+
+
+def _as_array(values):
+    if isinstance(values, np.ndarray):
+        return values
+    return np.array(list(values), dtype=object)
+
+
+def _off_one(total, mode):
+    """Whether a sum (or an array of sums) misses 1."""
     if mode == scalars.RATIONAL:
-        if total != 1:
-            report.append(f"{where}: normalization violated, sum = {total}")
-    elif abs(total - 1.0) > scalars.FLOAT_SUM_TOL:
-        report.append(f"{where}: normalization violated, sum = {total!r}")
+        return total != 1
+    return abs(total - 1.0) > scalars.FLOAT_SUM_TOL
+
+
+def _wrong_mode(values, mode):
+    """Mask of the entries that are not scalars of ``mode``."""
+    if values.dtype != object:
+        return np.zeros(values.shape, dtype=bool)
+    kinds = _MODE_TYPES[mode]
+    return np.frompyfunc(lambda v: not isinstance(v, kinds), 1, 1)(values).astype(bool)
+
+
+def _check_dist(values, mode, where, report):
+    values = _as_array(values)
+    for v in values[values < 0]:
+        report.append(f"{where}: negative entry {v}")
+    total = scalars.total(values, mode)
+    if _off_one(total, mode):
+        shown = total if mode == scalars.RATIONAL else repr(total)
+        report.append(f"{where}: normalization violated, sum = {shown}")
 
 
 def _check_mode_entries(values, mode, where, report):
-    for v in values:
+    values = _as_array(values)
+    wrong = values[_wrong_mode(values, mode)]
+    if wrong.size:
+        v = wrong[0]
         try:
-            if scalars.scalar_mode(v) != mode:
-                report.append(f"{where}: entry {v!r} does not match mode {mode}")
-                return
+            scalars.scalar_mode(v)
+            report.append(f"{where}: entry {v!r} does not match mode {mode}")
         except scalars.ModeError:
             report.append(f"{where}: entry {v!r} is not a scalar")
-            return
 
 
 def _check_predicate(values, where, report):
-    for v in values:
-        if v < 0 or v > 1:
-            report.append(f"{where}: predicate range violated by entry {v}")
-            return
+    values = _as_array(values)
+    bad = values[(values < 0) | (values > 1)]
+    if bad.size:
+        report.append(f"{where}: predicate range violated by entry {bad[0]}")
 
 
 def validate(obj):
@@ -369,24 +424,16 @@ def validate(obj):
                      (obj.a1_count, "a1_count"), (obj.a2_count, "a2_count")]:
             if c < 1:
                 report.append(f"{n} must be positive")
-        if len(obj.pi) != obj.q1_count or any(len(r) != obj.q2_count for r in obj.pi):
+        if obj.pi.shape != obj.shape[:2]:
             report.append("pi dimensions do not match question counts")
             return report
-        shape_ok = len(obj.R) == obj.q1_count and all(
-            len(obj.R[q1]) == obj.q2_count
-            and all(len(obj.R[q1][q2]) == obj.a1_count
-                    and all(len(row) == obj.a2_count for row in obj.R[q1][q2])
-                    for q2 in range(obj.q2_count))
-            for q1 in range(obj.q1_count))
-        if not shape_ok:
+        if obj.R.shape != obj.shape:
             report.append("R dimensions do not match counts")
             return report
-        flat_pi = list(_flatten(obj.pi))
-        _check_mode_entries(flat_pi, obj.mode, "pi", report)
-        _check_dist(flat_pi, obj.mode, "pi", report)
-        flat_r = list(_flatten(obj.R))
-        _check_mode_entries(flat_r, obj.mode, "R", report)
-        _check_predicate(flat_r, "R", report)
+        _check_mode_entries(obj.pi, obj.mode, "pi", report)
+        _check_dist(obj.pi, obj.mode, "pi", report)
+        _check_mode_entries(obj.R, obj.mode, "R", report)
+        _check_predicate(obj.R, "R", report)
     elif isinstance(obj, MultiRoundGame):
         nq, na = obj.q_count**obj.rounds, obj.a_count**obj.rounds
         if obj.q_count < 1 or obj.a_count < 1 or obj.rounds < 1:
@@ -418,11 +465,17 @@ def validate(obj):
         for t, row in obj.R:
             _check_predicate(row, f"R[{t}]", report)
     elif isinstance(obj, BipartiteStrategy):
-        for q1 in range(obj.q1_count):
-            for q2 in range(obj.q2_count):
-                block = list(_flatten(obj.theta[q1][q2]))
-                _check_mode_entries(block, obj.mode, f"theta[{q1}][{q2}]", report)
-                _check_dist(block, obj.mode, f"theta[{q1}][{q2}]", report)
+        theta = obj.theta
+        if theta.shape != obj.shape:
+            report.append("theta dimensions do not match counts")
+            return report
+        # only blocks with a wrong-mode or negative entry, or a sum off 1,
+        # can have problems; report them block by block, in order
+        suspect = ((_wrong_mode(theta, obj.mode) | (theta < 0)).any(axis=(2, 3))
+                   | _off_one(scalars.total(theta, obj.mode, axis=(2, 3)), obj.mode))
+        for q1, q2 in np.argwhere(suspect).tolist():
+            _check_mode_entries(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
+            _check_dist(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
     elif isinstance(obj, MultiRoundStrategy):
         for k in range(1, obj.rounds + 1):
             table = obj.tables[k - 1]
@@ -452,30 +505,21 @@ def validate(obj):
 
 
 def eval_two_prover(game, strategy):
-    """Winning probability: sum over pi * theta * R."""
+    """Winning probability: sum over pi * theta * R, taken over the nonzero
+    entries of R.
+
+    A deterministic strategy reads its answer pair's predicate entry.
+    """
     if isinstance(strategy, DeterministicBipartiteStrategy):
-        strategy = strategy.embed(game.a1_count, game.a2_count, game.mode)
-    if (game.q1_count, game.q2_count, game.a1_count, game.a2_count) != (
-            strategy.q1_count, strategy.q2_count, strategy.a1_count, strategy.a2_count):
+        if (len(strategy.f1), len(strategy.f2)) != game.shape[:2]:
+            raise DimensionError("strategy table does not match the game")
+        return scalars.total(game.pi * game.R[strategy.answer_cells()], game.mode)
+    if game.shape != strategy.shape:
         raise DimensionError("strategy table does not match the game")
     scalars.require_same_mode(game.mode, strategy.mode)
-    total = scalars.zero(game.mode)
-    for q1 in range(game.q1_count):
-        pi_row = game.pi[q1]
-        for q2 in range(game.q2_count):
-            p = pi_row[q2]
-            if not p:
-                continue
-            rblock = game.R[q1][q2]
-            tblock = strategy.theta[q1][q2]
-            acc = scalars.zero(game.mode)
-            for a1 in range(game.a1_count):
-                rrow, trow = rblock[a1], tblock[a1]
-                for a2 in range(game.a2_count):
-                    if trow[a2] and rrow[a2]:
-                        acc += trow[a2] * rrow[a2]
-            total += p * acc
-    return total
+    cells = np.nonzero(game.R.astype(bool))
+    return scalars.total(game.pi[cells[:2]] * strategy.theta[cells] * game.R[cells],
+                         game.mode)
 
 
 def eval_multi_round(game, strategy):
@@ -545,46 +589,23 @@ def is_no_signaling(strategy, tol=None):
     depend on the other prover's question.  ``tol`` defaults to exact zero
     in rational mode and 1e-9 in float mode.
     """
+    mode = strategy.mode
     if tol is None:
-        tol = scalars.zero(strategy.mode) if strategy.mode == scalars.RATIONAL else 1e-9
-    worst = scalars.zero(strategy.mode)
-    # prover 1 marginal must not depend on q2
-    for q1 in range(strategy.q1_count):
-        ref = None
-        for q2 in range(strategy.q2_count):
-            marg = [sum(strategy.theta[q1][q2][a1]) for a1 in range(strategy.a1_count)]
-            if ref is None:
-                ref = marg
-            else:
-                for a1 in range(strategy.a1_count):
-                    d = abs(marg[a1] - ref[a1])
-                    if d > worst:
-                        worst = d
-    # prover 2 marginal must not depend on q1
-    for q2 in range(strategy.q2_count):
-        ref = None
-        for q1 in range(strategy.q1_count):
-            marg = [sum(strategy.theta[q1][q2][a1][a2] for a1 in range(strategy.a1_count))
-                    for a2 in range(strategy.a2_count)]
-            if ref is None:
-                ref = marg
-            else:
-                for a2 in range(strategy.a2_count):
-                    d = abs(marg[a2] - ref[a2])
-                    if d > worst:
-                        worst = d
-    return worst <= tol, worst
-
-
-def multi_round_prefix_index(game):
-    """Index over the second prover's prefix questions in oracularized form."""
-    return PrefixIndex(game.q_count, game.rounds)
+        tol = scalars.zero(mode) if mode == scalars.RATIONAL else 1e-9
+    zero = scalars.zero(mode)
+    # each prover's marginal, compared with the one at the other prover's
+    # first question
+    m1 = scalars.total(strategy.theta, mode, axis=3)  # [q1][q2][a1]
+    m2 = scalars.total(strategy.theta, mode, axis=2)  # [q1][q2][a2]
+    worst = scalars.as_python(max(abs(m1 - m1[:, :1]).max(initial=zero),
+                                  abs(m2 - m2[:1]).max(initial=zero)))
+    return bool(worst <= tol), worst
 
 
 def uniform_bipartite(q1_count, q2_count, a1_count, a2_count, mode=scalars.RATIONAL):
     """Uniform answers for every question pair."""
     w = (Fraction(1, a1_count * a2_count) if mode == scalars.RATIONAL
          else 1.0 / (a1_count * a2_count))
-    theta = [[[[w] * a2_count for _ in range(a1_count)]
-              for _ in range(q2_count)] for _ in range(q1_count)]
+    theta = np.full((q1_count, q2_count, a1_count, a2_count), w,
+                    dtype=scalars.dtype(mode))
     return BipartiteStrategy(q1_count, q2_count, a1_count, a2_count, theta, mode)

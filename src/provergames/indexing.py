@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 def encode_tuple(tup, base):
     """Lexicographic rank of ``tup`` among ``base``**len(tup) tuples."""
@@ -35,6 +37,12 @@ def decode_tuple(idx, base, length):
 
 def iter_tuples(base, length):
     return itertools.product(range(base), repeat=length)
+
+
+def digit_table(base, length):
+    """Row ``i`` holds the components of ``decode_tuple(i, base, length)``."""
+    return np.array(list(iter_tuples(base, length)), dtype=int).reshape(
+        base**length, length)
 
 
 class PrefixIndex:

@@ -1,9 +1,7 @@
 """Self-contained exact-rational linear programming.
 
-A dense two-phase simplex over exact rationals.  Inputs and outputs use
-``fractions.Fraction``; internally the tableau runs on ``gmpy2.mpq`` when
-available (same arithmetic, much faster bignum core) and falls back to
-``Fraction`` otherwise.
+A dense two-phase simplex over exact rationals.  Inputs, the tableau and
+outputs are all ``fractions.Fraction``.
 
 The solver maximizes ``c . x`` subject to rows ``a . x {<=, ==, >=} b`` and
 ``x >= 0``.  Optimal solutions come with an exact dual certificate, and
@@ -23,10 +21,8 @@ from fractions import Fraction
 
 from . import scalars
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    _rat = Fraction
+#: The tableau's rational type.
+_rat = Fraction
 
 MAX_VARS = 5_000
 MAX_CONSTRAINTS = 20_000
@@ -60,10 +56,6 @@ def _to_rat(x):
     if isinstance(x, float):
         raise scalars.ModeError("linear programs require rational-mode scalars")
     return _rat(x)
-
-
-def _to_frac(x):
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 @dataclass(frozen=True)
@@ -297,8 +289,7 @@ def solve_lp(lp):
             y = -zc[art_col[i]]
         duals.append(-y if flipped[i] else y)
 
-    sol = LpSolution(OPTIMAL, _to_frac(value), tuple(_to_frac(v) for v in x),
-                     tuple(_to_frac(y) for y in duals))
+    sol = LpSolution(OPTIMAL, value, tuple(x), tuple(duals))
     problems = check_certificates(lp, sol)
     if problems:
         raise VerificationError(f"simplex certificate check failed: {problems}")

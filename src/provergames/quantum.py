@@ -157,9 +157,8 @@ def to_bipartite_strategy(s, game):
         raise DimensionError("strategy answer counts do not match the game")
     p, totals = _joint_tables(s.state_matrix(), povm_stack(s.povms1),
                               povm_stack(s.povms2))
-    theta = (p / totals[:, :, None, None]).tolist()
     return BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
-                             game.a2_count, theta, scalars.FLOAT)
+                             game.a2_count, p / totals[:, :, None, None], scalars.FLOAT)
 
 
 def psd_sqrt(op, tol=PSD_TOL):

@@ -34,8 +34,10 @@ from .games import (
     check_table_size,
     eval_two_prover,
     is_no_signaling,
+    pcp_triple_distribution,
 )
 from .indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
+from .lp import VerificationError
 from .transforms import pcp_question_marginal
 
 FLOAT_CLAIM_TOL = 1e-7
@@ -55,7 +57,7 @@ class InequalityRow:
 
     @property
     def holds(self):
-        return self.lhs <= self.rhs + self.tol
+        return bool(self.lhs <= self.rhs + self.tol)
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,10 @@ def reconstruct_multi_round(gprime):
     for i, q in enumerate(q_tuples):
         j = prefixes[q]
         qidx = encode_tuple(q, nq)
-        pi[qidx] = gprime.pi[i][j] * r
+        pi[qidx] = gprime.pi[i, j] * r
         base = qidx * na**r
         for aidx, atup in enumerate(iter_tuples(na, r)):
-            R[base + aidx] = gprime.R[i][j][aidx][a_index.encode(atup)]
+            R[base + aidx] = gprime.R[i, j, aidx, a_index.encode(atup)]
     return MultiRoundGame(nq, na, r, pi, R, gprime.mode)
 
 
@@ -151,29 +153,22 @@ def normalize_answer_shape(theta, gprime):
     """
     meta = _require_meta(gprime, "oracularized_multi_round")
     r, na = meta["rounds"], meta["base_a_count"]
-    prefixes = [tuple(p) for p in meta["q2_prefixes"]]
     a_index = PrefixIndex(na, r)
     zero = scalars.zero(theta.mode)
 
-    new_theta = []
-    for q1 in range(theta.q1_count):
-        row = []
-        for j, p in enumerate(prefixes):
-            k = len(p)
-            target = a_index.encode((0,) * k)
-            block = [list(br) for br in theta.theta[q1][j]]
-            for a1 in range(theta.a1_count):
-                moved = zero
-                for a2 in range(theta.a2_count):
-                    if a_index.length_of(a2) != k and block[a1][a2]:
-                        moved += block[a1][a2]
-                        block[a1][a2] = zero
-                if moved:
-                    block[a1][target] += moved
-            row.append(tuple(tuple(br) for br in block))
-        new_theta.append(tuple(row))
+    table = theta.theta.copy()
+    for j, p in enumerate(meta["q2_prefixes"]):
+        # answers of the probed length form one block, starting with (0,) * k
+        start = a_index.offsets[len(p) - 1]
+        stop = start + na ** len(p)
+        block = table[:, j]
+        moved = (scalars.total(block[:, :, :start], theta.mode, axis=2)
+                 + scalars.total(block[:, :, stop:], theta.mode, axis=2))
+        block[:, :, :start] = zero
+        block[:, :, stop:] = zero
+        block[:, :, start] += moved
     return BipartiteStrategy(theta.q1_count, theta.q2_count, theta.a1_count,
-                             theta.a2_count, tuple(new_theta), theta.mode)
+                             theta.a2_count, table, theta.mode)
 
 
 def ns_decompose(gprime, theta):
@@ -202,12 +197,12 @@ def ns_decompose(gprime, theta):
 
     for i in range(len(q_tuples)):
         for j, p in enumerate(prefixes):
-            if not gprime.pi[i][j]:
+            if not gprime.pi[i, j]:
                 continue
             k = len(p)
             for a1 in range(theta.a1_count):
                 for a2, a2t in enumerate(a_tuples):
-                    if len(a2t) != k and theta.theta[i][j][a1][a2]:
+                    if len(a2t) != k and theta.theta[i, j, a1, a2]:
                         raise ShapeError(
                             f"answer {a2t} has length {len(a2t)}, probe length {k}")
 
@@ -220,7 +215,7 @@ def ns_decompose(gprime, theta):
         ref = None
         for k in range(1, r + 1):
             j = prefix_idx[q[:k]]
-            marg = tuple(sum(theta.theta[i][j][a1]) for a1 in range(theta.a1_count))
+            marg = tuple(sum(theta.theta[i, j, a1]) for a1 in range(theta.a1_count))
             if ref is None:
                 ref = marg
             elif marg != ref:
@@ -235,7 +230,7 @@ def ns_decompose(gprime, theta):
         ref = None
         for i in sorted(extensions, key=lambda i: q_tuples[i]):
             dist = tuple(
-                sum(theta.theta[i][j][a1][a_index.encode(a2t)]
+                sum(theta.theta[i, j, a1, a_index.encode(a2t)]
                     for a1 in range(theta.a1_count))
                 for a2t in iter_tuples(na, k))
             if ref is None:
@@ -261,7 +256,7 @@ def ns_decompose(gprime, theta):
                 pref = atup[:k]
                 for a2t in iter_tuples(na, k):
                     if a2t != pref:
-                        mass += theta.theta[i][j][aidx][a_index.encode(a2t)]
+                        mass += theta.theta[i, j, aidx, a_index.encode(a2t)]
             eps_cons_qk[(i, k)] = mass
     eps_cons_q = {i: sum(eps_cons_qk[(i, k)] for k in range(1, r + 1)) / r
                   for i in range(len(q_tuples))}
@@ -281,8 +276,8 @@ def ns_decompose(gprime, theta):
             j = prefix_idx[q[:k]]
             win = zero
             for aidx, atup in enumerate(a_full):
-                rv = gprime.R[i][j][aidx]
-                row = theta.theta[i][j][aidx]
+                rv = gprime.R[i, j, aidx]
+                row = theta.theta[i, j, aidx]
                 for a2t in iter_tuples(na, k):
                     a2 = a_index.encode(a2t)
                     if row[a2] and rv[a2]:
@@ -290,8 +285,12 @@ def ns_decompose(gprime, theta):
             fail += pi_of[q] * (one - win)
         eps_k[k] = fail
 
-    assert eps == sum(eps_k.values()) / r
-    assert eps >= eps_cons and eps >= eps_sim
+    if eps != sum(eps_k.values()) / r:
+        raise VerificationError(
+            f"eps = {eps} is not the mean {sum(eps_k.values()) / r} of the eps_k")
+    if eps < eps_cons or eps < eps_sim:
+        raise VerificationError(
+            f"eps = {eps} is below eps_cons = {eps_cons} or eps_sim = {eps_sim}")
     return NsMarginalTables(game, gprime, theta, r, tuple(q_tuples), alpha,
                             alpha_prefix, beta, eps, eps_cons, eps_sim,
                             eps_cons_qk, eps_cons_q, eps_k)
@@ -373,8 +372,13 @@ def hybrid_family(tables, rounded, game):
     # h<1> must be exactly the family induced by the rounded strategy
     for i, q in enumerate(tables.q_tuples):
         for v, atup in zip(h[(1, i)], a_full):
-            assert v == rounded.induced_prob(atup, q)
-    assert p[r] >= 1 - tables.eps_k[r]
+            if v != rounded.induced_prob(atup, q):
+                raise VerificationError(
+                    f"h<1>{q} at {atup} is {v}, not the rounded strategy's "
+                    f"{rounded.induced_prob(atup, q)}")
+    if p[r] < 1 - tables.eps_k[r]:
+        raise VerificationError(
+            f"p_r = {p[r]} is below 1 - eps(r) = {1 - tables.eps_k[r]}")
     return HybridFamily(r, h, p)
 
 
@@ -671,15 +675,6 @@ def round_com(tables):
     return RoundedProof(dist, tuple(raw), 1.0 - total)
 
 
-def _raw_triple_distribution(raw, triple, a, qn):
-    out = [0.0] * a**3
-    for idx, w in enumerate(raw):
-        if w:
-            proof = decode_tuple(idx, a, qn)
-            out[encode_tuple(tuple(proof[q] for q in triple), a)] += w
-    return out
-
-
 def aggregate_distance_bound(tables, triple):
     """The per-triple bound d(q1,q2,q3): moving costs below each coordinate
     plus its own averaging and simulation distances."""
@@ -723,10 +718,11 @@ def verify_com_claims(game, tables, rounded):
     ]
 
     psi_m = tables.strategy.state_matrix()
+    raw = PcpProofDistribution(qn, a, rounded.raw, scalars.FLOAT)
     for t, p in tables.game_sorted.pi:
         if not p:
             continue
-        induced = _raw_triple_distribution(rounded.raw, t, a, qn)
+        induced = pcp_triple_distribution(raw, t)
         direct = [float(np.real(np.vdot(tables.triple_ops[t][aidx] @ psi_m,
                                         tables.triple_ops[t][aidx] @ psi_m)))
                   for aidx in range(a**3)]
@@ -746,7 +742,7 @@ def verify_lemma_distance(m_povm, n_povm, phi):
     """The distance chain for mutually commuting POVMs measured on one state:
     D^2 <= 2 (1 - <psi|xi>) <= 2 p, where p is the disagreement probability.
 
-    Returns the three chain quantities after asserting the chain within 1e-8.
+    Returns the three chain quantities after checking the chain within 1e-8.
     """
     if len(m_povm) != len(n_povm) or m_povm.dim != n_povm.dim:
         raise ValueError("POVMs must share outcome set and dimension")
@@ -769,7 +765,9 @@ def verify_lemma_distance(m_povm, n_povm, phi):
     p = 1.0 - sum(float(np.real(np.vdot(phi, me @ ne @ phi)))
                   for me, ne in zip(m_povm.elements, n_povm.elements))
     chain = (d2, gap, 2.0 * p)
-    assert d2 <= gap + CHAIN_TOL and gap <= 2.0 * p + CHAIN_TOL, chain
+    if not (d2 <= gap + CHAIN_TOL and gap <= 2.0 * p + CHAIN_TOL):
+        raise VerificationError(f"distance chain D^2 <= 2(1-<psi|xi>) <= 2p "
+                                f"fails: {chain}")
     return chain
 
 
@@ -778,7 +776,7 @@ def verify_claim_selection(tables, t_list, i):
     product to act first changes the outcome distribution by at most
     2 sum_{j<i} d1(t_j) + sum_{j<i} d4(t_i, t_j).
 
-    Returns (lhs, rhs) after asserting lhs <= rhs + 1e-7.
+    Returns (lhs, rhs) after checking lhs <= rhs + 1e-7.
     """
     a = tables.alphabet
     mm = len(t_list)
@@ -801,5 +799,7 @@ def verify_claim_selection(tables, t_list, i):
     lhs /= 2.0
     rhs = (2.0 * sum(tables.d1[t_list[j]] for j in range(i - 1))
            + sum(tables.d4[t_list[i - 1]][t_list[j]] for j in range(i - 1)))
-    assert lhs <= rhs + FLOAT_CLAIM_TOL, (lhs, rhs)
+    if not lhs <= rhs + FLOAT_CLAIM_TOL:
+        raise VerificationError(f"selection move changes the distribution by "
+                                f"{lhs}, over the bound {rhs}")
     return lhs, rhs

@@ -2,14 +2,17 @@
 
 Every probability table in this package is either exact (``Fraction``
 entries, mode ``"rational"``) or double precision (``float`` entries, mode
-``"float"``).  Mixing the two modes in one operation is an error: exactness
-claims hold only when everything stays rational, and quantum-derived tables
-can never be rational.
+``"float"``).  Two-prover tables are numpy arrays of ``dtype(mode)``: object
+arrays of ``Fraction``s, or float64.  Mixing the two modes in one operation
+is an error: exactness claims hold only when everything stays rational, and
+quantum-derived tables can never be rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -28,6 +31,31 @@ def zero(mode):
 
 def one(mode):
     return Fraction(1) if mode == RATIONAL else 1.0
+
+
+def dtype(mode):
+    return object if mode == RATIONAL else float
+
+
+def zeros(shape, mode):
+    """A table of ``shape`` filled with the zero of ``mode``."""
+    return np.full(shape, zero(mode), dtype=dtype(mode))
+
+
+def total(values, mode, axis=None):
+    """Sum of table entries, over ``axis`` or all of them.
+
+    An object sum starts at ``Fraction(0)``, so rational totals are
+    ``Fraction``s; a full float total is a Python ``float``.
+    """
+    s = np.sum(values, axis=axis, initial=zero(mode))
+    return float(s) if mode == FLOAT and axis is None else s
+
+
+def as_python(value):
+    """A numpy scalar as the Python scalar it holds (``float64`` becomes
+    ``float``); anything else unchanged."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def check_mode(mode):
@@ -88,7 +116,3 @@ def format_scalar(value):
     if isinstance(value, int):
         return f"{value}/1"
     return repr(float(value))
-
-
-def to_float(value):
-    return float(value)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import scalars
 from .games import (
     DeterministicBipartiteStrategy,
@@ -23,11 +25,7 @@ from .games import (
     TwoProverGame,
     check_table_size,
 )
-from .indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
-
-#: Re-exported: the bijection between prefix tuples and dense indices used
-#: for the second prover's question/answer sets in oracularized games.
-PrefixQuestionIndex = PrefixIndex
+from .indexing import PrefixIndex, digit_table, encode_tuple, iter_tuples
 
 
 @dataclass(frozen=True)
@@ -91,26 +89,21 @@ def oracularize_multi_round(game):
                      "oracularize_multi_round predicate")
 
     inv_r = (Fraction(1, r) if game.mode == scalars.RATIONAL else 1.0 / r)
-    zero = scalars.zero(game.mode)
-    a2_tuples = [a_index.decode(i) for i in range(a2_count)]
+    dtype = scalars.dtype(game.mode)
+    qidx = [encode_tuple(q, game.q_count) for q in q1_tuples]
 
-    pi = [[game.pi_at(q) * inv_r if q[:len(p)] == p else zero for p in prefixes]
-          for q in q1_tuples]
-    R = []
-    for q in q1_tuples:
-        sim = [game.r_at(q, a) for a in iter_tuples(game.a_count, r)]
-        row = []
-        for p in prefixes:
-            k = len(p)
-            block = []
-            for a1, atup in enumerate(iter_tuples(game.a_count, r)):
-                s = sim[a1]
-                prefix_a = atup[:k]
-                block.append(tuple(
-                    s if (len(a2t) == k and a2t == prefix_a) else zero
-                    for a2t in a2_tuples))
-            row.append(tuple(block))
-        R.append(tuple(row))
+    probed = np.array([[q[:len(p)] == p for p in prefixes] for q in q1_tuples])
+    pi_q = np.array([game.pi[i] * inv_r for i in qidx], dtype=dtype)
+    pi = np.where(probed, pi_q[:, None], scalars.zero(game.mode))
+    # the predicate holds where the second prover's answer is the first
+    # prover's answer prefix of the probed length, and the full
+    # conversation is accepting
+    sim = np.array([game.R[i * a1_count:(i + 1) * a1_count] for i in qidx], dtype=dtype)
+    R = scalars.zeros((len(q1_tuples), len(prefixes), a1_count, a2_count), game.mode)
+    a1 = np.arange(a1_count)
+    for j, p in enumerate(prefixes):
+        k = len(p)
+        R[:, j, a1, a_index.offsets[k - 1] + a1 // game.a_count ** (r - k)] = sim
 
     meta = {"kind": "oracularized_multi_round", "rounds": r,
             "base_q_count": game.q_count, "base_a_count": game.a_count,
@@ -135,28 +128,20 @@ def oracularize_pcp(game):
                      "oracularize_pcp predicate")
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero = scalars.zero(game.mode)
+    dtype = scalars.dtype(game.mode)
     pi_d = game.pi_dict()
     r_d = game.r_dict()
 
-    pi = [[pi_d[t] * third if pos in t else zero for pos in positions]
-          for t in triples]
-    R = []
-    for t in triples:
-        sim = r_d[t]
-        row = []
-        for pos in positions:
-            j = t.index(pos) if pos in t else None
-            block = []
-            for a1 in range(a1_count):
-                a1tup = decode_tuple(a1, a, 3)
-                s = sim[a1]
-                if j is None:
-                    block.append((s,) * a)
-                else:
-                    block.append(tuple(s if a2 == a1tup[j] else zero
-                                       for a2 in range(a)))
-            row.append(tuple(block))
-        R.append(tuple(row))
+    # coord[t, pos]: the probed position's coordinate in the triple, or -1
+    coord = np.array([[t.index(pos) if pos in t else -1 for pos in positions]
+                      for t in triples])
+    pi_t = np.array([pi_d[t] * third for t in triples], dtype=dtype)
+    pi = np.where(coord >= 0, pi_t[:, None], zero)
+    # the first prover's answer at the probed coordinate, [t][pos][a1]
+    probed = digit_table(a, 3)[:, coord].transpose(1, 2, 0)
+    consistent = (coord[:, :, None, None] < 0) | (probed[..., None] == np.arange(a))
+    sim = np.array([r_d[t] for t in triples], dtype=dtype)
+    R = np.where(consistent, sim[:, None, :, None], zero)
 
     meta = {"kind": "oracularized_pcp", "alphabet": a,
             "base_positions": game.positions,
@@ -201,50 +186,42 @@ def oracularize_pcp_dummy(game):
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero, one = scalars.zero(game.mode), scalars.one(game.mode)
     half = Fraction(1, 2) if game.mode == scalars.RATIONAL else 0.5
+    dtype = scalars.dtype(game.mode)
     pi_d = game.pi_dict()
     r_d = game.r_dict()
 
-    pi, R = [], []
-    for t in triples:
-        pt = pi_d[t]
-        sim = r_d[t]
-        pi_row, r_row = [], []
-        for (u, v) in pairs:
-            # weight of "u is real, v is dummy" and the reverse
-            w_u = third * marg[v] if u in t else zero
-            w_v = third * marg[u] if v in t else zero
-            if u == v:
-                w_total = w_u
-            else:
-                w_total = w_u + w_v
-            pi_row.append(pt * w_total)
+    # [t][pair]: coordinate of u and of v in the triple (-1 if absent), and
+    # the weight of "u is real, v is dummy" and of the reverse
+    ju = np.array([[t.index(u) if u in t else -1 for u, _ in pairs] for t in triples])
+    jv = np.array([[t.index(v) if v in t else -1 for _, v in pairs] for t in triples])
+    w_u = np.where(ju >= 0, np.array([third * marg[v] for _, v in pairs], dtype=dtype), zero)
+    w_v = np.where(jv >= 0, np.array([third * marg[u] for u, _ in pairs], dtype=dtype), zero)
+    same = np.array([u == v for u, v in pairs])
+    w_total = np.where(same, w_u, w_u + w_v)
+    pi = np.array([pi_d[t] for t in triples], dtype=dtype)[:, None] * w_total
 
-            ju = t.index(u) if u in t else None
-            jv = t.index(v) if v in t else None
-            block = []
-            for a1 in range(a1_count):
-                a1tup = decode_tuple(a1, a, 3)
-                s = sim[a1]
-                entry = []
-                for a2 in range(a2_count):
-                    b1, b2 = decode_tuple(a2, a, 2)
-                    if u == v:
-                        if ju is None:
-                            acc = one
-                        else:
-                            acc = half * ((one if b1 == a1tup[ju] else zero)
-                                          + (one if b2 == a1tup[ju] else zero))
-                    elif w_total:
-                        acc_u = one if (ju is not None and b1 == a1tup[ju]) else zero
-                        acc_v = one if (jv is not None and b2 == a1tup[jv]) else zero
-                        acc = (w_u * acc_u + w_v * acc_v) / w_total
-                    else:
-                        acc = one  # measure-zero pair: consistency is vacuous
-                    entry.append(s * acc)
-                block.append(tuple(entry))
-            r_row.append(tuple(block))
-        pi.append(pi_row)
-        R.append(tuple(r_row))
+    # acc[t][pair][hit_u][hit_v]: the consistency acceptance given whether
+    # the pair's first and second answers match the first prover at u and v
+    hit = np.array([zero, one], dtype=dtype)
+    averaged = half * (hit[:, None] + hit[None, :])  # u == v: both checks read u
+    mixed = ((w_u[..., None, None] * hit[:, None] + w_v[..., None, None] * hit[None, :])
+             / np.where(w_total != 0, w_total, one)[..., None, None])
+    acc = np.where(same[:, None, None],
+                   np.where((ju >= 0)[..., None, None], averaged, one),
+                   # a measure-zero pair's consistency is vacuous
+                   np.where((w_total != 0)[..., None, None], mixed, one))
+    digits1, digits2 = digit_table(a, 3), digit_table(a, 2)
+
+    def hits(j, c):
+        """[t][pair][a1][a2]: 1 where component c of the second answer is
+        the first prover's answer at coordinate j of the triple."""
+        at_j = digits1[:, j].transpose(1, 2, 0)[..., None]
+        return ((j >= 0)[..., None, None] & (at_j == digits2[:, c])).astype(int)
+
+    sim = np.array([r_d[t] for t in triples], dtype=dtype)
+    R = sim[:, None, :, None] * acc[np.arange(len(triples))[:, None, None, None],
+                                    np.arange(len(pairs))[None, :, None, None],
+                                    hits(ju, 0), hits(jv, 1)]
 
     meta = {"kind": "oracularized_pcp_dummy", "alphabet": a,
             "base_positions": game.positions,
@@ -263,42 +240,22 @@ def parallel_repeat(game, n):
     q1n, q2n = game.q1_count**n, game.q2_count**n
     a1n, a2n = game.a1_count**n, game.a2_count**n
     check_table_size(q1n * q2n * a1n * a2n, "parallel_repeat predicate")
-    one = scalars.one(game.mode)
-
-    pi = []
-    for q1s in iter_tuples(game.q1_count, n):
-        row = []
-        for q2s in iter_tuples(game.q2_count, n):
-            p = one
-            for x, y in zip(q1s, q2s):
-                p *= game.pi[x][y]
-                if not p:
-                    break
-            row.append(p)
-        pi.append(row)
-
-    R = []
-    for q1s in iter_tuples(game.q1_count, n):
-        row_q1 = []
-        for q2s in iter_tuples(game.q2_count, n):
-            block = []
-            for a1s in iter_tuples(game.a1_count, n):
-                entry = []
-                for a2s in iter_tuples(game.a2_count, n):
-                    v = one
-                    for x, y, s, t in zip(q1s, q2s, a1s, a2s):
-                        v *= game.R[x][y][s][t]
-                        if not v:
-                            break
-                    entry.append(v)
-                block.append(tuple(entry))
-            row_q1.append(tuple(block))
-        R.append(tuple(row_q1))
-
     meta = {"kind": "parallel_repetition", "copies": n,
             "base_counts": [game.q1_count, game.q2_count,
                             game.a1_count, game.a2_count]}
-    return TwoProverGame(q1n, q2n, a1n, a2n, pi, R, game.mode, meta=meta)
+    return TwoProverGame(q1n, q2n, a1n, a2n, _repeat_table(game.pi, n),
+                         _repeat_table(game.R, n), game.mode, meta=meta)
+
+
+def _repeat_table(table, n):
+    """n-fold outer product of a table with itself, each axis's n copies
+    merged into one index (first copy most significant)."""
+    out = table
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, table)
+    d = table.ndim
+    out = out.transpose([d * k + axis for axis in range(d) for k in range(n)])
+    return out.reshape([size**n for size in table.shape])
 
 
 def pcp_from_1in3(formula):

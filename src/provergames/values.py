@@ -20,8 +20,8 @@ from .games import (
     MultiRoundStrategy,
     check_table_size,
     eval_two_prover,
-    iter_tuples,
 )
+from .indexing import iter_tuples
 from .lp import EQUAL, LinearProgram, OPTIMAL, VerificationError, solve_lp
 
 
@@ -34,8 +34,9 @@ class ValueResult:
     extras: dict = field(default_factory=dict, compare=False)
 
 
-def _enumeration_cost(func_values, func_slots):
-    return func_values**func_slots
+#: Entries of the score array of one batch of enumerated function tables in
+#: ``classical_value``; bounds its memory whatever the game size.
+CLASSICAL_BATCH_ENTRIES = 1 << 18
 
 
 def classical_value(game):
@@ -43,46 +44,38 @@ def classical_value(game):
 
     Enumerates the cheaper prover's function table and computes the other
     prover's best response per question, which is exact because the payoff
-    is linear in each prover's table.
+    is linear in each prover's table.  Tables are scored in batches, in
+    lexicographic order; ties keep the first table and the smallest
+    best-response answer.
     """
-    cost1 = _enumeration_cost(game.a1_count, game.q1_count)
-    cost2 = _enumeration_cost(game.a2_count, game.q2_count)
+    cost1 = game.a1_count**game.q1_count
+    cost2 = game.a2_count**game.q2_count
     enumerate_first = cost1 <= cost2
     work = min(cost1, cost2) * game.q1_count * game.q2_count * (
         game.a2_count if enumerate_first else game.a1_count)
     check_table_size(work, "classical_value enumeration")
 
-    best = None
-    best_pair = None
-    if enumerate_first:
-        for f1 in itertools.product(range(game.a1_count), repeat=game.q1_count):
-            total = scalars.zero(game.mode)
-            f2 = []
-            for q2 in range(game.q2_count):
-                scores = [sum(game.pi[q1][q2] * game.R[q1][q2][f1[q1]][a2]
-                              for q1 in range(game.q1_count) if game.pi[q1][q2])
-                          for a2 in range(game.a2_count)]
-                a2 = max(range(game.a2_count), key=lambda a: (scores[a], -a))
-                f2.append(a2)
-                total += scores[a2]
-            if best is None or total > best:
-                best, best_pair = total, (tuple(f1), tuple(f2))
-    else:
-        for f2 in itertools.product(range(game.a2_count), repeat=game.q2_count):
-            total = scalars.zero(game.mode)
-            f1 = []
-            for q1 in range(game.q1_count):
-                scores = [sum(game.pi[q1][q2] * game.R[q1][q2][a1][f2[q2]]
-                              for q2 in range(game.q2_count) if game.pi[q1][q2])
-                          for a1 in range(game.a1_count)]
-                a1 = max(range(game.a1_count), key=lambda a: (scores[a], -a))
-                f1.append(a1)
-                total += scores[a1]
-            if best is None or total > best:
-                best, best_pair = total, (tuple(f1), tuple(f2))
-    witness = DeterministicBipartiteStrategy(*best_pair)
-    return ValueResult(best, witness, "deterministic-enumeration",
-                       game.mode == scalars.RATIONAL)
+    # weight[q][p][a][b]: q, a belong to the enumerated prover, p, b to the
+    # responding one
+    weight = game.pi[:, :, None, None] * game.R
+    if not enumerate_first:
+        weight = weight.transpose(1, 0, 3, 2)
+    q_count, p_count, a_count, b_count = weight.shape
+    batch = max(1, CLASSICAL_BATCH_ENTRIES // (q_count * p_count * b_count))
+    best = best_f = None
+    for start in range(0, a_count**q_count, batch):
+        idx = np.arange(start, min(start + batch, a_count**q_count))
+        f = idx[:, None] // a_count ** np.arange(q_count - 1, -1, -1) % a_count
+        # scores[table][p][b]: the responder's payoff for answer b to p
+        scores = scalars.total(weight[np.arange(q_count), :, f, :], game.mode, axis=1)
+        totals = scalars.total(scores.max(axis=2), game.mode, axis=1)
+        i = int(np.argmax(totals))
+        if best is None or totals[i] > best:
+            best, best_f, best_scores = totals[i], f[i], scores[i]
+    tables = (tuple(best_f.tolist()), tuple(np.argmax(best_scores, axis=1).tolist()))
+    witness = DeterministicBipartiteStrategy(*(tables if enumerate_first else tables[::-1]))
+    return ValueResult(scalars.as_python(best), witness,
+                       "deterministic-enumeration", game.mode == scalars.RATIONAL)
 
 
 def multi_round_value(game):
@@ -166,91 +159,56 @@ def no_signaling_value(game):
     """
     if game.mode != scalars.RATIONAL:
         raise scalars.ModeError("no_signaling_value requires a rational-mode game")
-    support = game.support()
-    var = {}
-    for (q1, q2) in support:
-        for a1 in range(game.a1_count):
-            for a2 in range(game.a2_count):
-                var[("t", q1, q2, a1, a2)] = len(var)
-    for q1 in range(game.q1_count):
-        for a1 in range(game.a1_count):
-            var[("m1", q1, a1)] = len(var)
-    for q2 in range(game.q2_count):
-        for a2 in range(game.a2_count):
-            var[("m2", q2, a2)] = len(var)
-    n = len(var)
+    q1n, q2n, a1n, a2n = game.shape
+    sup = np.nonzero(game.pi > 0)  # the support, in row-major order
+    # variable indices: the table on the support, then both marginal tables
+    t_var = np.arange(len(sup[0]) * a1n * a2n).reshape(-1, a1n, a2n)
+    m1_var = t_var.size + np.arange(q1n * a1n).reshape(q1n, a1n)
+    m2_var = m1_var.size + t_var.size + np.arange(q2n * a2n).reshape(q2n, a2n)
+    n = t_var.size + m1_var.size + m2_var.size
 
     zero, one = Fraction(0), Fraction(1)
     objective = [zero] * n
-    for (q1, q2) in support:
-        p = game.pi[q1][q2]
-        for a1 in range(game.a1_count):
-            for a2 in range(game.a2_count):
-                r = game.R[q1][q2][a1][a2]
-                if r:
-                    objective[var[("t", q1, q2, a1, a2)]] = p * r
+    objective[:t_var.size] = (game.pi[sup][:, None, None] * game.R[sup]).ravel().tolist()
 
     rows = []
 
-    def add(coeffs_map, rhs):
+    def add(plus, rhs, minus=None):
         row = [zero] * n
-        for key, c in coeffs_map.items():
-            row[var[key]] = c
+        for j in plus:
+            row[j] = one
+        if minus is not None:
+            row[minus] = -one
         rows.append((tuple(row), EQUAL, rhs))
 
-    for (q1, q2) in support:
-        add({("t", q1, q2, a1, a2): one
-             for a1 in range(game.a1_count) for a2 in range(game.a2_count)}, one)
-        for a1 in range(game.a1_count):
-            coeffs = {("t", q1, q2, a1, a2): one for a2 in range(game.a2_count)}
-            coeffs[("m1", q1, a1)] = -one
-            add(coeffs, zero)
-        for a2 in range(game.a2_count):
-            coeffs = {("t", q1, q2, a1, a2): one for a1 in range(game.a1_count)}
-            coeffs[("m2", q2, a2)] = -one
-            add(coeffs, zero)
-    for q1 in range(game.q1_count):
-        add({("m1", q1, a1): one for a1 in range(game.a1_count)}, one)
-    for q2 in range(game.q2_count):
-        add({("m2", q2, a2): one for a2 in range(game.a2_count)}, one)
+    for s, (q1, q2) in enumerate(zip(*sup)):
+        add(t_var[s].ravel(), one)
+        for a1 in range(a1n):
+            add(t_var[s, a1], zero, m1_var[q1, a1])
+        for a2 in range(a2n):
+            add(t_var[s, :, a2], zero, m2_var[q2, a2])
+    for q1 in range(q1n):
+        add(m1_var[q1], one)
+    for q2 in range(q2n):
+        add(m2_var[q2], one)
 
     sol = solve_lp(LinearProgram(n, tuple(objective), tuple(rows)))
     if sol.status != OPTIMAL:  # the polytope is nonempty and bounded
         raise VerificationError(f"no-signaling LP ended {sol.status}")
 
-    m1 = [[sol.x[var[("m1", q1, a1)]] for a1 in range(game.a1_count)]
-          for q1 in range(game.q1_count)]
-    m2 = [[sol.x[var[("m2", q2, a2)]] for a2 in range(game.a2_count)]
-          for q2 in range(game.q2_count)]
-    support_set = set(support)
-    theta = []
-    for q1 in range(game.q1_count):
-        row = []
-        for q2 in range(game.q2_count):
-            if (q1, q2) in support_set:
-                block = [[sol.x[var[("t", q1, q2, a1, a2)]]
-                          for a2 in range(game.a2_count)]
-                         for a1 in range(game.a1_count)]
-            else:
-                block = [[m1[q1][a1] * m2[q2][a2] for a2 in range(game.a2_count)]
-                         for a1 in range(game.a1_count)]
-            row.append(block)
-        theta.append(row)
-    witness = BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
-                                game.a2_count, theta, scalars.RATIONAL)
+    x = np.array(sol.x, dtype=object)
+    table = scalars.zeros(game.shape, scalars.RATIONAL)
+    table[sup] = x[t_var]
+    m1, m2 = x[m1_var], x[m2_var]
+    theta = np.where(game.pi[:, :, None, None] > 0, table,
+                     m1[:, None, :, None] * m2[None, :, None, :])
+    witness = BipartiteStrategy(*game.shape, theta, scalars.RATIONAL)
     return ValueResult(sol.value, witness, "no-signaling-lp", True,
                        extras={"duals": sol.duals})
 
 
 # ---------------------------------------------------------------------------
 # see-saw lower bound on the entangled value
-
-
-def _game_weight_array(game):
-    gf = game.to_float()
-    pi = np.array(gf.pi, dtype=float)
-    R = np.array(gf.R, dtype=float)
-    return pi[:, :, None, None] * R
 
 
 def _game_operator(piR, m_arr, n_arr):
@@ -337,7 +295,7 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
     if game.mode != scalars.FLOAT:
         raise scalars.ModeError("entangled_lower_bound requires a float-mode game "
                                 "(use game.to_float())")
-    piR = _game_weight_array(game)
+    piR = game.pi[:, :, None, None] * game.R
     rng = np.random.default_rng(seed)
 
     starts = []

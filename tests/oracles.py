@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from provergames import scalars
-from provergames.indexing import encode_tuple, iter_tuples
+from provergames.indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
 
 
 def brute_classical(game):
@@ -185,3 +185,177 @@ def naive_improve_pvm(elems, c_list, sweeps=3):
         if not changed:
             break
     return elems
+
+
+# ---------------------------------------------------------------------------
+# nested-loop references for the array-based two-prover tables: each returns
+# (pi, R) as nested lists, built one entry at a time
+
+
+def naive_parallel_repeat(game, n):
+    """Product questions and answers; each entry a product over the copies."""
+    one = scalars.one(game.mode)
+    pi = []
+    for q1s in iter_tuples(game.q1_count, n):
+        row = []
+        for q2s in iter_tuples(game.q2_count, n):
+            p = one
+            for x, y in zip(q1s, q2s):
+                p *= game.pi[x][y]
+                if not p:
+                    break
+            row.append(p)
+        pi.append(row)
+    R = []
+    for q1s in iter_tuples(game.q1_count, n):
+        row_q1 = []
+        for q2s in iter_tuples(game.q2_count, n):
+            block = []
+            for a1s in iter_tuples(game.a1_count, n):
+                entry = []
+                for a2s in iter_tuples(game.a2_count, n):
+                    v = one
+                    for x, y, s, t in zip(q1s, q2s, a1s, a2s):
+                        v *= game.R[x][y][s][t]
+                        if not v:
+                            break
+                    entry.append(v)
+                block.append(entry)
+            row_q1.append(block)
+        R.append(row_q1)
+    return pi, R
+
+
+def naive_oracularize_multi_round(game):
+    r = game.rounds
+    q1_tuples = [q for q in game.q_tuples() if game.pi_at(q)]
+    prefixes = sorted({q[:k] for k in range(1, r + 1) for q in q1_tuples},
+                      key=lambda p: (len(p), p))
+    a_index = PrefixIndex(game.a_count, r)
+    inv_r = Fraction(1, r) if game.mode == scalars.RATIONAL else 1.0 / r
+    zero = scalars.zero(game.mode)
+    a2_tuples = [a_index.decode(i) for i in range(len(a_index))]
+    pi = [[game.pi_at(q) * inv_r if q[:len(p)] == p else zero for p in prefixes]
+          for q in q1_tuples]
+    R = []
+    for q in q1_tuples:
+        sim = [game.r_at(q, a) for a in iter_tuples(game.a_count, r)]
+        row = []
+        for p in prefixes:
+            k = len(p)
+            block = []
+            for a1, atup in enumerate(iter_tuples(game.a_count, r)):
+                block.append([sim[a1] if (len(a2t) == k and a2t == atup[:k]) else zero
+                              for a2t in a2_tuples])
+            row.append(block)
+        R.append(row)
+    return pi, R
+
+
+def naive_oracularize_pcp(game):
+    triples = game.support()
+    positions = sorted({q for t in triples for q in t})
+    a = game.alphabet_size
+    third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
+    zero = scalars.zero(game.mode)
+    pi_d, r_d = game.pi_dict(), game.r_dict()
+    pi = [[pi_d[t] * third if pos in t else zero for pos in positions]
+          for t in triples]
+    R = []
+    for t in triples:
+        row = []
+        for pos in positions:
+            j = t.index(pos) if pos in t else None
+            block = []
+            for a1 in range(a**3):
+                a1tup = decode_tuple(a1, a, 3)
+                s = r_d[t][a1]
+                block.append([s if j is None or a2 == a1tup[j] else zero
+                              for a2 in range(a)])
+            row.append(block)
+        R.append(row)
+    return pi, R
+
+
+def naive_oracularize_pcp_dummy(game):
+    from provergames.transforms import pcp_question_marginal
+
+    triples = game.support()
+    marg = pcp_question_marginal(game)
+    positions = sorted(marg)
+    pairs = [(u, v) for i, u in enumerate(positions) for v in positions[i:]]
+    a = game.alphabet_size
+    third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
+    zero, one = scalars.zero(game.mode), scalars.one(game.mode)
+    half = Fraction(1, 2) if game.mode == scalars.RATIONAL else 0.5
+    pi_d, r_d = game.pi_dict(), game.r_dict()
+    pi, R = [], []
+    for t in triples:
+        pi_row, r_row = [], []
+        for (u, v) in pairs:
+            w_u = third * marg[v] if u in t else zero
+            w_v = third * marg[u] if v in t else zero
+            w_total = w_u if u == v else w_u + w_v
+            pi_row.append(pi_d[t] * w_total)
+            ju = t.index(u) if u in t else None
+            jv = t.index(v) if v in t else None
+            block = []
+            for a1 in range(a**3):
+                a1tup = decode_tuple(a1, a, 3)
+                entry = []
+                for a2 in range(a**2):
+                    b1, b2 = decode_tuple(a2, a, 2)
+                    if u == v:
+                        if ju is None:
+                            acc = one
+                        else:
+                            acc = half * ((one if b1 == a1tup[ju] else zero)
+                                          + (one if b2 == a1tup[ju] else zero))
+                    elif w_total:
+                        acc_u = one if (ju is not None and b1 == a1tup[ju]) else zero
+                        acc_v = one if (jv is not None and b2 == a1tup[jv]) else zero
+                        acc = (w_u * acc_u + w_v * acc_v) / w_total
+                    else:
+                        acc = one
+                    entry.append(r_d[t][a1] * acc)
+                block.append(entry)
+            r_row.append(block)
+        pi.append(pi_row)
+        R.append(r_row)
+    return pi, R
+
+
+def naive_classical_value(game):
+    """(value, (f1, f2)): enumerate the cheaper prover's tables in
+    lexicographic order against the other's best response; ties keep the
+    first table and the smallest answer."""
+    enumerate_first = (game.a1_count**game.q1_count
+                       <= game.a2_count**game.q2_count)
+    best = best_pair = None
+    if enumerate_first:
+        for f1 in itertools.product(range(game.a1_count), repeat=game.q1_count):
+            total = scalars.zero(game.mode)
+            f2 = []
+            for q2 in range(game.q2_count):
+                scores = [sum(game.pi[q1][q2] * game.R[q1][q2][f1[q1]][a2]
+                              for q1 in range(game.q1_count) if game.pi[q1][q2])
+                          for a2 in range(game.a2_count)]
+                a2 = max(range(game.a2_count), key=lambda a: (scores[a], -a))
+                f2.append(a2)
+                total += scores[a2]
+            if best is None or total > best:
+                best, best_pair = total, (tuple(f1), tuple(f2))
+    else:
+        for f2 in itertools.product(range(game.a2_count), repeat=game.q2_count):
+            total = scalars.zero(game.mode)
+            f1 = []
+            for q1 in range(game.q1_count):
+                scores = [sum(game.pi[q1][q2] * game.R[q1][q2][a1][f2[q2]]
+                              for q2 in range(game.q2_count) if game.pi[q1][q2])
+                          for a1 in range(game.a1_count)]
+                a1 = max(range(game.a1_count), key=lambda a: (scores[a], -a))
+                f1.append(a1)
+                total += scores[a1]
+            if best is None or total > best:
+                best, best_pair = total, (tuple(f1), tuple(f2))
+    return best, best_pair

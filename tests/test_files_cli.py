@@ -168,19 +168,61 @@ from provergames import cli, lp
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
 lp.check_certificates = lambda program, sol: ["planted defect"]
-sys.exit(cli.run_cli(["verify", "ns-claims", "--seed", "3", "--samples", "1",
-                      "--strategies", "1"]))
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+# eps of the oracularized game no longer equals the mean of the per-length
+# failure probabilities eps_k
+_PLANTED_EPS_DEFECT = """
+import sys
+from fractions import Fraction
+from provergames import cli, rounding
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+real = rounding.eval_two_prover
+rounding.eval_two_prover = lambda game, strategy: real(game, strategy) - Fraction(1, 97)
+sys.exit(cli.run_cli(sys.argv[1:]))
 """
 
 
-def test_cli_verify_catches_planted_defect_under_optimize_flag():
+def _run_optimized(script, *args):
+    """Run ``script`` under ``python -O`` with the source tree importable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED_CERTIFICATE_DEFECT],
+    return subprocess.run([sys.executable, "-O", "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["verify", "value"])
+def test_cli_catches_planted_certificate_defect_under_optimize_flag(tmp_path, command):
+    if command == "verify":
+        args = ["verify", "ns-claims", "--seed", "3", "--samples", "1",
+                "--strategies", "1"]
+    else:
+        game_file = tmp_path / "chsh.game"
+        game_file.write_text(files.serialize_game(chsh()))
+        args = ["value", "no-signaling", str(game_file)]
+    proc = _run_optimized(_PLANTED_CERTIFICATE_DEFECT, *args)
     assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("verification failed: "), proc.stderr
     assert "simplex certificate check failed: ['planted defect']" in proc.stderr
+
+
+def test_cli_catches_planted_rounding_defect_under_optimize_flag():
+    proc = _run_optimized(_PLANTED_EPS_DEFECT, "verify", "ns-claims", "--seed", "3",
+                          "--samples", "1", "--strategies", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("verification failed: eps = "), proc.stderr
+    assert "is not the mean" in proc.stderr
+
+
+def test_cli_verify_json_report_of_a_float_suite(capsys):
+    assert cli.run_cli(["verify", "com-claims", "--seed", "3", "--samples", "1",
+                        "--strategies", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert all(row["holds"] is True for row in payload["rows"])
 
 
 def test_cli_verify_suites_exit_zero():
