@@ -1,27 +1,36 @@
 """Self-contained exact-rational linear programming.
 
-A dense two-phase simplex over exact rationals.  Inputs, the tableau and
-outputs are all ``fractions.Fraction``.
+A dense two-phase simplex with fraction-free integer pivoting, on and to
+``fractions.Fraction``.  It maximizes ``c . x`` subject to rows
+``a . x {<=, ==, >=} b`` and ``x >= 0``; ``solve_lp`` verifies the exact dual
+certificate of an optimum before returning, so a failure there is a solver bug.
 
-The solver maximizes ``c . x`` subject to rows ``a . x {<=, ==, >=} b`` and
-``x >= 0``.  Optimal solutions come with an exact dual certificate, and
-``solve_lp`` verifies primal feasibility, dual feasibility, and strong
-duality before returning; a failure there would be a solver bug, not an
-input problem.
-
-Pricing is Dantzig's rule for speed, permanently falling back to Bland's
-rule while a run of degenerate pivots lasts, which keeps termination
-guaranteed on every input.
+Each row is scaled by the lcm of its denominators (its slack and artificial
+columns too, so they stay unit columns), the objective by its own.  One
+integer array holds ``D`` times that tableau, ``D`` the basis determinant; a
+pivot on ``p = T[r, s]`` is Bareiss's exact update ``(p*T - outer(T[:, s],
+T[r])) // D`` of the other rows, then ``D = p`` (Bareiss, Math. Comp. 1968, as
+in Avis's ``lrs``).  The array is ``int64`` while every entry is below 2**31,
+so no product overflows, and past that an ``object`` array of Python ints
+(``LpSolution.stats["promoted"]``).  Pricing is Dantzig's rule, or Bland's
+while a run of degenerate pivots lasts, so it terminates; prices carry their
+column scales and the ratio test cross-multiplies, so the pivots are those of
+the same simplex on ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count, repeat
+from math import lcm
+from operator import is_not, not_
+
+import numpy as np
 
 from . import scalars
 
-#: The tableau's rational type.
+#: The rational type of the LP's inputs and outputs.
 _rat = Fraction
 
 MAX_VARS = 5_000
@@ -30,10 +39,13 @@ MAX_CONSTRAINTS = 20_000
 #: consecutive degenerate pivots before switching to Bland's rule
 STALL_LIMIT = 40
 
+#: int64 tableau entries stay below this, so ``p*T`` cannot overflow
+_INT64_LIMIT = 2**31
+
 LESS_EQUAL = "<="
 EQUAL = "=="
 GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_FLIP = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -52,10 +64,23 @@ class VerificationError(Exception):
     """
 
 
-def _to_rat(x):
-    if isinstance(x, float):
+def _nonzeros(values):
+    # entries that are the very object of the first zero need no comparison
+    zero = next(compress(values, map(not_, values)), None)
+    maybe = compress(range(len(values)), map(is_not, values, repeat(zero)))
+    idx = tuple(j for j in maybe if values[j])
+    return idx, tuple(_rat(values[j]) for j in idx)
+
+
+def _sparse(lp):
+    """``((indices, Fractions), rows)``: the objective's nonzeros, then each
+    row's as ``(indices, Fractions, rhs)``.  A float, even 0.0, raises."""
+    types = set(map(type, [c.rhs for c in lp.constraints])).union(
+        map(type, lp.objective), *(map(type, c.coeffs) for c in lp.constraints))
+    if any(issubclass(t, float) for t in types):
         raise scalars.ModeError("linear programs require rational-mode scalars")
-    return _rat(x)
+    return _nonzeros(lp.objective), tuple(
+        _nonzeros(c.coeffs) + (_rat(c.rhs),) for c in lp.constraints)
 
 
 @dataclass(frozen=True)
@@ -65,7 +90,7 @@ class Constraint:
     rhs: object
 
     def __post_init__(self):
-        if self.relation not in _RELATIONS:
+        if self.relation not in _FLIP:
             raise ValueError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
@@ -102,194 +127,162 @@ class LpSolution:
     value: Fraction | None = None
     x: tuple | None = None
     duals: tuple | None = None
+    #: pivots per phase, degenerate pivots, Bland switches, the largest
+    #: tableau entry's bit length and whether the tableau was promoted
+    stats: dict = field(default_factory=dict, compare=False)
 
 
-def _pivot(A, b, zc, basis, row, col):
-    prow = A[row]
-    piv = prow[col]
-    if piv != 1:
-        inv = 1 / piv
-        prow = [e * inv if e else e for e in prow]
-        A[row] = prow
-        b[row] = b[row] * inv
-    brow = b[row]
-    for i in range(len(A)):
-        if i == row:
-            continue
-        f = A[i][col]
-        if f:
-            arow = A[i]
-            A[i] = [x - f * y if y else x for x, y in zip(arow, prow)]
-            b[i] = b[i] - f * brow
-    f = zc[col]
-    if f:
-        zc[:] = [x - f * y if y else x for x, y in zip(zc, prow)]
-    basis[row] = col
+class _Tableau:
+    """``D`` times the scaled tableau: constraint rows, then the reduced-cost
+    row; the last column is the right-hand side."""
 
+    def __init__(self, T, scale, basis, stats):
+        self.T, self.scale, self.basis, self.stats, self.D = T, scale, basis, stats, 1
+        stats["promoted"] = T.dtype == object
+        self._check(T)
 
-def _run_simplex(A, b, zc, basis, allowed):
-    """Iterate to optimality; returns 'optimal' or 'unbounded'.
+    def _check(self, changed):
+        """Track the largest entry ever held; promote once one reaches 2**31."""
+        top = max(int(changed.max()), -int(changed.min())) if changed.size else 0
+        self.stats["max_bits"] = max(self.stats["max_bits"], top.bit_length())
+        if top >= _INT64_LIMIT and self.T.dtype != object:
+            self.T = self.T.astype(object)
+            self.stats["promoted"] = True
 
-    ``zc`` holds reduced costs c_j - z_j (entering columns have zc > 0);
-    columns outside ``allowed`` never enter.
-    """
-    zero = _rat(0)
-    stalled = 0
-    bland = False
-    while True:
-        col = -1
-        if bland:
-            for j in allowed:
-                if zc[j] > zero:
-                    col = j
-                    break
-        else:
-            best = zero
-            for j in allowed:
-                if zc[j] > best:
-                    best = zc[j]
-                    col = j
-        if col < 0:
-            return OPTIMAL
-        # ratio test; ties resolved by smallest basis index (Bland-safe)
-        row = -1
-        best_t = None
-        for i in range(len(A)):
-            a = A[i][col]
-            if a > zero:
-                t = b[i] / a
-                if best_t is None or t < best_t or (t == best_t and basis[i] < basis[row]):
-                    best_t = t
-                    row = i
-        if row < 0:
-            return UNBOUNDED
-        degenerate = not b[row]
-        _pivot(A, b, zc, basis, row, col)
-        if degenerate:
-            stalled += 1
-            if stalled > STALL_LIMIT:
-                bland = True
-        else:
-            stalled = 0
-            bland = False
+    def set_objective(self, costs):
+        """Reduced-cost row for the scaled integer ``costs`` of every column."""
+        weights = [costs[j] for j in self.basis]
+        dt = np.int64 if (self.T.dtype != object and max(map(abs, costs)) * self.D
+                          + sum(map(abs, weights)) * _INT64_LIMIT < 2**63) else object
+        row = (self.D * np.array(costs, dtype=dt)
+               - np.array(weights, dtype=dt) @ self.T[:-1].astype(dt, copy=False))
+        self._check(row)
+        self.T[-1] = row
+
+    def pivot(self, r, s):
+        """Bareiss update of every row but ``r``: ``outer(T[:, s], T[r])`` is
+        nonzero only on ``block``, and off it ``p*T // D`` is exact."""
+        T, D = self.T, self.D
+        p, prow = T[r, s], T[r].copy()
+        rows, cols = np.flatnonzero(T[:, s]), np.flatnonzero(prow)
+        rows = rows[rows != r]
+        block = np.ix_(rows, cols)
+        new = (p * T[block] - np.multiply.outer(T[rows, s], prow[cols])) // D
+        if p != D:
+            T *= p
+            T //= D
+            T[r] = prow
+        T[block] = new
+        if p < 0:  # keep D > 0, so signs in T are the tableau's signs
+            np.negative(T, out=T)
+        self._check(T if p != D else new)
+        self.D = abs(int(p))
+        self.basis[r] = s
+
+    def run(self, allowed, phase):
+        """Pivot on the first ``allowed`` columns until 'optimal' or 'unbounded'."""
+        stalled = 0  # degenerate pivots in a row; Bland's rule after STALL_LIMIT
+        while allowed:
+            priced = self.T[-1, :allowed] * self.scale[:allowed]
+            s = int(np.argmax(priced > 0 if stalled > STALL_LIMIT else priced))
+            if not priced[s] > 0:
+                break
+            # ratio test: smallest b_i / a_i over a_i > 0, ties to the smallest basis index
+            rows = np.flatnonzero(self.T[:-1, s] > 0).tolist()
+            if not rows:
+                return UNBOUNDED
+            a, b = self.T[rows, s].tolist(), self.T[rows, -1].tolist()
+            k = 0
+            for i in range(1, len(rows)):
+                d = b[i] * a[k] - b[k] * a[i]
+                if d < 0 or (d == 0 and self.basis[rows[i]] < self.basis[rows[k]]):
+                    k = i
+            self.pivot(rows[k], s)
+            self.stats[phase] += 1
+            stalled = 0 if b[k] else stalled + 1
+            self.stats["degenerate_pivots"] += stalled > 0
+            self.stats["bland_switches"] += stalled == STALL_LIMIT + 1
+        return OPTIMAL
 
 
 def solve_lp(lp):
     """Solve the LP exactly; see the module docstring for the contract."""
-    n = lp.num_vars
-    m = len(lp.constraints)
-    obj = [_to_rat(c) for c in lp.objective]
-    if m == 0:
-        if any(c > 0 for c in obj):
-            return LpSolution(UNBOUNDED)
-        return LpSolution(OPTIMAL, Fraction(0), (Fraction(0),) * n, ())
+    n, m = lp.num_vars, len(lp.constraints)
+    (cidx, cval), rows = _sparse(lp)
+    stats = dict.fromkeys(("phase1_pivots", "phase2_pivots", "degenerate_pivots",
+                           "bland_switches", "max_bits"), 0)
 
     # normalize rows to nonnegative rhs, remembering flips for the duals
-    rows, rels, rhs, flipped = [], [], [], []
-    for c in lp.constraints:
-        coeffs = [_to_rat(v) for v in c.coeffs]
-        r = _to_rat(c.rhs)
-        rel = c.relation
-        if r < 0:
-            coeffs = [-v for v in coeffs]
-            r = -r
-            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-        rows.append(coeffs)
-        rels.append(rel)
-        rhs.append(r)
+    flipped = [rhs < 0 for _, _, rhs in rows]
+    rels = [_FLIP[c.relation] if f else c.relation for c, f in zip(lp.constraints, flipped)]
+    new_col = count(n)
+    slack_col = [next(new_col) if rel != EQUAL else -1 for rel in rels]
+    first_art = n + m - rels.count(EQUAL)
+    art_col = [next(new_col) if rel != LESS_EQUAL else -1 for rel in rels]
+    ncols = next(new_col)
 
-    zero, one_ = _rat(0), _rat(1)
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    ncols = n
-    for i, rel in enumerate(rels):
-        if rel in (LESS_EQUAL, GREATER_EQUAL):
-            slack_col[i] = ncols
-            ncols += 1
-    for i, rel in enumerate(rels):
-        if rel in (EQUAL, GREATER_EQUAL):
-            art_col[i] = ncols
-            ncols += 1
-
-    A = []
-    for i in range(m):
-        row = rows[i] + [zero] * (ncols - n)
-        if slack_col[i] >= 0:
-            row[slack_col[i]] = one_ if rels[i] == LESS_EQUAL else -one_
-        if art_col[i] >= 0:
-            row[art_col[i]] = one_
-        A.append(row)
-    b = list(rhs)
+    # integer rows, each scaled by the lcm of its denominators; a row without
+    # a slack or artificial column writes that column's 1 to index -1, the
+    # right-hand side, which is then set last
+    scale, ints = [1] * (ncols + 1), []
+    for i, (idx, vals, rhs) in enumerate(rows):
+        f = lcm(rhs.denominator, *(v.denominator for v in vals))
+        ints.append([v.numerator * ((-f if flipped[i] else f) // v.denominator)
+                     for v in vals + (rhs,)])
+        scale[slack_col[i]] = scale[art_col[i]] = f
+    top = max((abs(v) for row in ints for v in row), default=0)
+    T = np.zeros((m + 1, ncols + 1), dtype=np.int64 if top < 2**63 else object)
+    for i, (idx, _, _) in enumerate(rows):
+        T[i, slack_col[i]] = 1 if rels[i] == LESS_EQUAL else -1
+        T[i, art_col[i]] = 1
+        T[i, list(idx) + [ncols]] = ints[i]
+    scale = np.array(scale, dtype=np.int64 if max(scale) < _INT64_LIMIT else object)
     basis = [art_col[i] if art_col[i] >= 0 else slack_col[i] for i in range(m)]
+    tab = _Tableau(T, scale, basis, stats)
 
-    structural = list(range(n))
-    non_artificial = [j for j in range(ncols) if j not in set(c for c in art_col if c >= 0)]
-
-    # phase 1: maximize -sum(artificials); start basis has cost -1 rows
-    if any(c >= 0 for c in art_col):
-        zc = [zero] * ncols
+    # phase 1: maximize -sum(artificials), each artificial costing -1/scale
+    if first_art < ncols:
+        arts = scale[first_art:ncols].tolist()
+        unit = lcm(*arts)
+        tab.set_objective([0] * first_art + [-unit // f for f in arts] + [0])
+        if tab.run(first_art, "phase1_pivots") != OPTIMAL:  # bounded by 0
+            raise VerificationError(f"phase 1 of the simplex ended {UNBOUNDED}")
+        if any(tab.T[i, -1] and art_col[i] == basis[i] for i in range(m)):
+            return LpSolution(INFEASIBLE, stats=stats)
+        # drive residual zero-valued artificials out of the basis; the rows
+        # that keep one are redundant and dropped
         for i in range(m):
-            if art_col[i] >= 0:
-                arow = A[i]
-                for j in non_artificial:
-                    if arow[j]:
-                        zc[j] += arow[j]
-        status = _run_simplex(A, b, zc, basis, non_artificial)
-        if status != OPTIMAL:  # phase 1 objective is bounded by 0
-            raise VerificationError(f"phase 1 of the simplex ended {status}")
-        if any(b[i] and art_col[i] == basis[i] for i in range(m)):
-            return LpSolution(INFEASIBLE)
-        infeas = sum((b[i] for i in range(m) if basis[i] == art_col[i]), zero)
-        if infeas:
-            return LpSolution(INFEASIBLE)
-        # drive residual zero-valued artificials out of the basis
-        drop = []
-        for i in range(m):
-            if art_col[i] >= 0 and basis[i] == art_col[i]:
-                for j in non_artificial:
-                    if A[i][j]:
-                        _pivot(A, b, zc, basis, i, j)
-                        break
-                else:
-                    drop.append(i)  # redundant row
-        for i in reversed(drop):
-            del A[i], b[i], basis[i]
+            nonzero = np.flatnonzero(tab.T[i, :first_art])
+            if basis[i] == art_col[i] and nonzero.size:
+                tab.pivot(i, int(nonzero[0]))
+                stats["phase1_pivots"] += 1
+        keep = [i for i in range(m) if basis[i] != art_col[i]]
+        tab.T, tab.basis = tab.T[keep + [m]], [basis[i] for i in keep]
 
     # phase 2
-    cost = obj + [zero] * (ncols - n)
-    zc = list(cost)
-    value = zero
-    for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb:
-            value += cb * b[i]
-            arow = A[i]
-            for j in range(ncols):
-                if arow[j]:
-                    zc[j] -= cb * arow[j]
-    status = _run_simplex(A, b, zc, basis, non_artificial)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+    unit = lcm(*(v.denominator for v in cval))
+    costs = [0] * (ncols + 1)
+    for j, v in zip(cidx, cval):
+        costs[j] = v.numerator * (unit // v.denominator)
+    tab.set_objective(costs)
+    if tab.run(first_art, "phase2_pivots") == UNBOUNDED:
+        return LpSolution(UNBOUNDED, stats=stats)
 
-    x = [zero] * n
-    for i, bi in enumerate(basis):
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(tab.basis):
         if bi < n:
-            x[bi] = b[i]
-    value = sum((obj[j] * x[j] for j in range(n) if x[j]), zero)
+            x[bi] = Fraction(int(tab.T[i, -1]), tab.D)
+    value = sum((v * x[j] for j, v in zip(cidx, cval) if x[j]), Fraction(0))
 
     # duals from reduced costs of the unit columns of each row
     duals = []
     for i in range(m):
-        if slack_col[i] >= 0:
-            y = -zc[slack_col[i]] if rels[i] == LESS_EQUAL else zc[slack_col[i]]
-        else:
-            y = -zc[art_col[i]]
+        j = slack_col[i] if slack_col[i] >= 0 else art_col[i]
+        zc = Fraction(int(tab.T[-1, j]) * int(scale[j]), tab.D * unit)
+        y = zc if rels[i] == GREATER_EQUAL else -zc
         duals.append(-y if flipped[i] else y)
 
-    sol = LpSolution(OPTIMAL, value, tuple(x), tuple(duals))
+    sol = LpSolution(OPTIMAL, value, tuple(x), tuple(duals), stats)
     problems = check_certificates(lp, sol)
     if problems:
         raise VerificationError(f"simplex certificate check failed: {problems}")
@@ -297,34 +290,40 @@ def solve_lp(lp):
 
 
 def check_certificates(lp, sol):
-    """Exact verification of an optimal LpSolution; returns defect strings."""
+    """Exact verification of an optimal LpSolution; returns defect strings.
+
+    Re-reads the LP's nonzero coefficients and sums them in ``Fraction``s."""
     if sol.status != OPTIMAL:
         return ["solution is not optimal"]
     issues = []
-    x = sol.x
+    x, y = sol.x, sol.duals
+    (cidx, cval), rows = _sparse(lp)
     if any(v < 0 for v in x):
         issues.append("primal point has a negative coordinate")
-    for k, c in enumerate(lp.constraints):
-        lhs = sum(a * v for a, v in zip(c.coeffs, x) if a and v)
+    for k, (c, (idx, vals, _)) in enumerate(zip(lp.constraints, rows)):
+        lhs = sum(a * x[j] for j, a in zip(idx, vals) if x[j])
         if c.relation == LESS_EQUAL and lhs > c.rhs:
             issues.append(f"constraint {k} violated: {lhs} > {c.rhs}")
         elif c.relation == GREATER_EQUAL and lhs < c.rhs:
             issues.append(f"constraint {k} violated: {lhs} < {c.rhs}")
         elif c.relation == EQUAL and lhs != c.rhs:
             issues.append(f"constraint {k} violated: {lhs} != {c.rhs}")
-    primal = sum(a * v for a, v in zip(lp.objective, x) if a and v)
+    primal = sum(a * x[j] for j, a in zip(cidx, cval) if x[j])
     if primal != sol.value:
         issues.append("objective at primal point differs from reported value")
-    y = sol.duals
     for k, c in enumerate(lp.constraints):
         if c.relation == LESS_EQUAL and y[k] < 0:
             issues.append(f"dual {k} negative for a <= row")
         if c.relation == GREATER_EQUAL and y[k] > 0:
             issues.append(f"dual {k} positive for a >= row")
+    col = [0] * lp.num_vars
+    for k, (idx, vals, _) in enumerate(rows):
+        if y[k]:
+            for j, a in zip(idx, vals):
+                col[j] += a * y[k]
     for j in range(lp.num_vars):
-        col = sum(c.coeffs[j] * y[k] for k, c in enumerate(lp.constraints) if c.coeffs[j])
-        if col < lp.objective[j]:
-            issues.append(f"dual infeasible at column {j}: {col} < {lp.objective[j]}")
+        if col[j] < lp.objective[j]:
+            issues.append(f"dual infeasible at column {j}: {col[j]} < {lp.objective[j]}")
     dual_obj = sum(c.rhs * y[k] for k, c in enumerate(lp.constraints) if c.rhs and y[k])
     if dual_obj != sol.value:
         issues.append(f"strong duality violated: dual objective {dual_obj}")

@@ -155,7 +155,8 @@ def no_signaling_value(game):
     normalization, the marginal (no-signaling) equalities, and marginal
     normalization.  The witness extends the LP point to all question pairs
     using the shared marginals (a product completion), so it passes
-    ``is_no_signaling`` with violation 0.
+    ``is_no_signaling`` with violation 0.  ``extras`` holds the LP's duals and
+    its solver counts (``"lp"``: ``LpSolution.stats``).
     """
     if game.mode != scalars.RATIONAL:
         raise scalars.ModeError("no_signaling_value requires a rational-mode game")
@@ -204,7 +205,7 @@ def no_signaling_value(game):
                      m1[:, None, :, None] * m2[None, :, None, :])
     witness = BipartiteStrategy(*game.shape, theta, scalars.RATIONAL)
     return ValueResult(sol.value, witness, "no-signaling-lp", True,
-                       extras={"duals": sol.duals})
+                       extras={"duals": sol.duals, "lp": sol.stats})
 
 
 # ---------------------------------------------------------------------------

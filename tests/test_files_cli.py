@@ -184,6 +184,16 @@ rounding.eval_two_prover = lambda game, strategy: real(game, strategy) - Fractio
 sys.exit(cli.run_cli(sys.argv[1:]))
 """
 
+# the LP of the no-signaling value ends infeasible, which its polytope never is
+_PLANTED_INFEASIBLE_LP = """
+import sys
+from provergames import cli, lp, values
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+values.solve_lp = lambda program: lp.LpSolution(lp.INFEASIBLE)
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
 
 def _run_optimized(script, *args):
     """Run ``script`` under ``python -O`` with the source tree importable."""
@@ -215,6 +225,14 @@ def test_cli_catches_planted_rounding_defect_under_optimize_flag():
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("verification failed: eps = "), proc.stderr
     assert "is not the mean" in proc.stderr
+
+
+def test_cli_catches_planted_infeasible_lp_under_optimize_flag(tmp_path):
+    game_file = tmp_path / "chsh.game"
+    game_file.write_text(files.serialize_game(chsh()))
+    proc = _run_optimized(_PLANTED_INFEASIBLE_LP, "value", "no-signaling", str(game_file))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == "verification failed: no-signaling LP ended infeasible"
 
 
 def test_cli_verify_json_report_of_a_float_suite(capsys):

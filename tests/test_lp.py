@@ -1,17 +1,27 @@
 """Exact simplex: the contract is exact feasibility and strong duality."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from provergames import scalars, transforms, values
 from provergames.lp import (
     LinearProgram,
     LpSizeError,
     check_certificates,
     solve_lp,
 )
-from oracles import lp_vertex_enumeration
+from provergames.sampling import random_multi_round_game
+from oracles import fraction_simplex, lp_vertex_enumeration
 
 F = Fraction
 
@@ -136,3 +146,110 @@ def test_float_rejected():
 def test_no_constraints():
     assert solve_lp(_lp(2, (0, -1), [])).value == 0
     assert solve_lp(_lp(1, (1,), [])).status == "unbounded"
+
+
+def test_float_zero_coefficient_rejected():
+    with pytest.raises(scalars.ModeError):
+        solve_lp(LinearProgram(2, (F(1), F(1)), (((F(1), 0.0), "<=", F(1)),)))
+
+
+def _assert_same_solution(lp):
+    """``solve_lp`` against the ``Fraction`` simplex it replaced, field for field."""
+    sol, ref = solve_lp(lp), fraction_simplex(lp)
+    assert (sol.status, sol.value, sol.x, sol.duals) == (ref.status, ref.value, ref.x, ref.duals)
+    if sol.status == "optimal":
+        assert check_certificates(lp, sol) == []
+    return sol
+
+
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 7), F(7, 4)])
+
+
+@st.composite
+def linear_programs(draw):
+    """Small LPs with mixed relations, negative right-hand sides, fractional
+    coefficients and redundant equalities; some infeasible, some unbounded."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(_entries, min_size=n, max_size=n).map(lambda v: tuple(map(F, v)))
+    rows = draw(st.lists(st.tuples(vector, st.sampled_from(["<=", "==", ">="]),
+                                   _entries.map(F)), min_size=1, max_size=5))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        coeffs, _, rhs = rows[k]
+        factor = draw(st.sampled_from([F(1), F(-2), F(3, 2)]))
+        rows.append((tuple(factor * a for a in coeffs), "==", factor * rhs))
+    return LinearProgram(n, draw(vector), tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_programs())
+def test_random_lps_match_fraction_simplex(lp):
+    _assert_same_solution(lp)
+
+
+def _highs_value(lp):
+    """Optimal value of ``lp`` by scipy's HiGHS, as a float."""
+    a = np.array([[float(v) for v in c.coeffs] for c in lp.constraints])
+    b = np.array([float(c.rhs) for c in lp.constraints])
+    rel = np.array([c.relation for c in lp.constraints])
+    sign = np.where(rel == ">=", -1.0, 1.0)[:, None]
+    ub, eq = rel != "==", rel == "=="
+    res = linprog([-float(c) for c in lp.objective], A_ub=(sign * a)[ub],
+                  b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_signaling_lps_match_fraction_simplex_and_highs(monkeypatch, seed):
+    game = transforms.oracularize_multi_round(
+        random_multi_round_game(random.Random(seed), q=3, a=2, rounds=2))
+    programs = []
+    monkeypatch.setattr(values, "solve_lp", lambda lp: programs.append(lp) or solve_lp(lp))
+    result = values.no_signaling_value(game)
+    (lp,) = programs
+    sol = _assert_same_solution(lp)
+    assert sol.value == result.value
+    assert abs(float(sol.value) - _highs_value(lp)) <= 1e-9
+    stats = result.extras["lp"]
+    assert stats == sol.stats and stats["phase1_pivots"] + stats["phase2_pivots"] > 0
+    assert not stats["promoted"] and 0 < stats["max_bits"] < 31
+
+
+# large coprime coefficients: the first LP's integer data fit int64, and its
+# fraction-free entries pass 2**31 while it pivots; the scaled rows of the
+# second LP exceed int64 from the start
+_LARGE_LPS = [
+    _lp(3, (1, 1, 1), [((65521, 3, 7), "<=", 1000003), ((5, 65519, 11), ">=", 99983),
+                       ((13, 2, 65497), "<=", 1000033), ((1, 0, 1), "==", 10)]),
+    _lp(2, (F(1, 3**40), 1), [((F(2, 3**41), 1), "<=", F(5, 7**25)), ((1, 1), "<=", 9)]),
+]
+
+
+@pytest.mark.parametrize("lp", _LARGE_LPS)
+def test_tableau_promotes_to_python_ints_past_int64_safe_range(lp):
+    sol = _assert_same_solution(lp)
+    assert sol.status == "optimal"
+    assert sol.stats["promoted"] and sol.stats["max_bits"] >= 32
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import sys, provergames\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_beale_cycling_switches_to_bland_like_fraction_simplex():
+    lp = _lp(4, (F(3, 4), -150, F(1, 50), -6),
+             [((F(1, 4), -60, F(-1, 25), 9), "<=", 0),
+              ((F(1, 2), -90, F(-1, 50), 3), "<=", 0),
+              ((0, 0, 1, 0), "<=", 1)])
+    sol = _assert_same_solution(lp)
+    assert sol.stats["bland_switches"] == 1
+    assert sol.stats["degenerate_pivots"] > 40
