@@ -10,7 +10,6 @@ from .games import (
     MultiRoundStrategy,
     PcpGame,
     PcpProofDistribution,
-    ProofMixture,
     SizeGuardError,
     TwoProverGame,
     eval_multi_round,

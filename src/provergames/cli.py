@@ -82,8 +82,7 @@ def _witness_payload(result):
                 "theta": np.frompyfunc(_fmt, 1, 1)(w.theta).tolist()}
     if isinstance(w, MultiRoundStrategy):
         return {"type": "multi_round",
-                "tables": [[[_fmt(v) for v in dist] for dist in table]
-                           for table in w.tables]}
+                "tables": [np.frompyfunc(_fmt, 1, 1)(t).tolist() for t in w.tables]}
     if isinstance(w, tuple):
         return {"type": "proof", "proof": list(w)}
     if isinstance(w, quantum.QuantumStrategy):

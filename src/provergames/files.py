@@ -31,7 +31,6 @@ import numpy as np
 from . import scalars
 from .games import (MultiRoundGame, PcpGame, TwoProverGame, check_table_size,
                     validate)
-from .indexing import encode_tuple, iter_tuples
 from .transforms import OneInThreeFormula
 
 FORMAT_VERSION = 1
@@ -48,7 +47,10 @@ class ParseError(ValueError):
 
 
 def _parse_value(text, mode, line_no):
-    value = scalars.parse_scalar(text)
+    try:
+        value = scalars.parse_scalar(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(line_no, f"bad value {text!r}") from None
     if mode == scalars.RATIONAL and isinstance(value, float):
         raise ParseError(line_no, f"float value {text!r} in a rational-mode file")
     if mode == scalars.FLOAT:
@@ -56,47 +58,37 @@ def _parse_value(text, mode, line_no):
     return value
 
 
+def _entries(table):
+    """The nonzero entries of a table as ``(index tuple, value)`` pairs, in
+    row-major order."""
+    cells = np.nonzero(table)
+    return list(zip(zip(*(c.tolist() for c in cells)), table[cells]))
+
+
 def serialize_game(game):
-    lines = [f"format_version {FORMAT_VERSION}"]
     if isinstance(game, TwoProverGame):
-        lines.append(f"kind {KIND_TWO_PROVER}")
-        lines.append(f"mode {game.mode}")
-        lines.append(f"counts {game.q1_count} {game.q2_count} "
-                     f"{game.a1_count} {game.a2_count}")
-        for q1, q2 in np.argwhere(game.pi).tolist():
-            lines.append(f"pi {q1} {q2} {scalars.format_scalar(game.pi[q1, q2])}")
-        cells = np.nonzero(game.R.astype(bool))
-        _predicate_lines(lines, list(zip(zip(*(c.tolist() for c in cells)),
-                                         game.R[cells])))
+        kind, counts = KIND_TWO_PROVER, game.shape
+        pi, rvals = _entries(game.pi), _entries(game.R)
     elif isinstance(game, MultiRoundGame):
-        lines.append(f"kind {KIND_MULTI_ROUND}")
-        lines.append(f"mode {game.mode}")
-        lines.append(f"counts {game.q_count} {game.a_count} {game.rounds}")
-        for qidx, qtup in enumerate(game.q_tuples()):
-            if game.pi[qidx]:
-                lines.append("pi " + " ".join(map(str, qtup)) + " "
-                             + scalars.format_scalar(game.pi[qidx]))
-        na = game.a_count**game.rounds
-        _predicate_lines(lines, [
-            (qtup + atup, game.R[qidx * na + aidx])
-            for qidx, qtup in enumerate(game.q_tuples())
-            for aidx, atup in enumerate(iter_tuples(game.a_count, game.rounds))
-            if game.R[qidx * na + aidx]])
+        kind, counts = KIND_MULTI_ROUND, game.shape
+        q, a, r = counts
+        pi = _entries(game.pi.reshape((q,) * r))
+        rvals = _entries(game.R.reshape((q,) * r + (a,) * r))
     elif isinstance(game, PcpGame):
-        lines.append(f"kind {KIND_PCP}")
-        lines.append(f"mode {game.mode}")
-        lines.append(f"counts {game.positions} {game.alphabet_size}")
-        for t, v in game.pi:
-            if v:
-                lines.append("pi " + " ".join(map(str, t)) + " "
-                             + scalars.format_scalar(v))
-        _predicate_lines(lines, [
-            (t + atup, row[aidx]) for t, row in game.R
-            for aidx, atup in enumerate(iter_tuples(game.alphabet_size, 3))
-            if row[aidx]])
+        kind, counts = KIND_PCP, game.shape
+        a = game.alphabet_size
+        triples = [tuple(t) for t in game.triples.tolist()]
+        pi = [(triples[t], v) for (t,), v in _entries(game.pi)]
+        rvals = [(triples[t] + tuple(answers), v)
+                 for (t, *answers), v in _entries(game.R.reshape(-1, a, a, a))]
     else:
         raise TypeError(f"cannot serialize {type(game).__name__}")
 
+    lines = [f"format_version {FORMAT_VERSION}", f"kind {kind}", f"mode {game.mode}",
+             "counts " + " ".join(map(str, counts))]
+    for idx, v in pi:
+        lines.append("pi " + " ".join(map(str, idx)) + " " + scalars.format_scalar(v))
+    _predicate_lines(lines, rvals)
     if game.labels:
         for axis, names in sorted(game.labels.items()):
             for i, name in enumerate(names):
@@ -144,7 +136,13 @@ def parse_game(text):
             parts = rest.split(maxsplit=2)
             if len(parts) < 3:
                 raise ParseError(line_no, "label needs axis, index, and text")
-            labels.setdefault(parts[0], {})[int(parts[1])] = parts[2]
+            try:
+                index = int(parts[1])
+            except ValueError:
+                raise ParseError(line_no, f"label index {parts[1]!r} is not an integer") from None
+            if index < 0:
+                raise ParseError(line_no, f"label index {index} is negative")
+            labels.setdefault(parts[0], {})[index] = parts[2]
         elif token == "meta":
             try:
                 meta = json.loads(rest)
@@ -189,61 +187,52 @@ def parse_game(text):
             raise ParseError(counts_line, "two-prover counts need 4 integers")
         q1, q2, a1, a2 = counts
         check_table_size(q1 * q2 * (1 + a1 * a2), "two-prover game file")
-        pi = scalars.zeros((q1, q2), mode)
-        R = scalars.zeros((q1, q2, a1, a2), mode)
-        for parts, ln in pi_entries:
-            idx = parse_indices(parts[:-1], 2, ln)
-            _check_range(idx, [q1, q2], ln)
-            pi[tuple(idx)] = _parse_value(parts[-1], mode, ln)
-        for token, parts, ln in r_entries:
-            idx = parse_indices(parts if token == "accept" else parts[:-1], 4, ln)
-            _check_range(idx, [q1, q2, a1, a2], ln)
-            R[tuple(idx)] = one if token == "accept" else _parse_value(parts[-1], mode, ln)
-        game = TwoProverGame(q1, q2, a1, a2, pi, R, mode, labels=label_tuples,
-                             meta=meta)
+        pi_dims, r_dims = [q1, q2], [q1, q2, a1, a2]
     elif kind == KIND_MULTI_ROUND:
         if len(counts) != 3:
             raise ParseError(counts_line, "multi-round counts need 3 integers")
         q, a, r = counts
         check_table_size(q**r * (1 + a**r), "multi-round game file")
-        pi = [zero] * q**r
-        R = [zero] * (q**r * a**r)
-        for parts, ln in pi_entries:
-            idx = parse_indices(parts[:-1], r, ln)
-            _check_range(idx, [q] * r, ln)
-            pi[encode_tuple(idx, q)] = _parse_value(parts[-1], mode, ln)
-        for token, parts, ln in r_entries:
-            raw = parts if token == "accept" else parts[:-1]
-            idx = parse_indices(raw, 2 * r, ln)
-            _check_range(idx, [q] * r + [a] * r, ln)
-            flat = encode_tuple(idx[:r], q) * a**r + encode_tuple(idx[r:], a)
-            R[flat] = one if token == "accept" else _parse_value(parts[-1], mode, ln)
-        game = MultiRoundGame(q, a, r, pi, R, mode, labels=label_tuples, meta=meta)
+        pi_dims, r_dims = [q] * r, [q] * r + [a] * r
     elif kind == KIND_PCP:
         if len(counts) != 2:
             raise ParseError(counts_line, "pcp3 counts need 2 integers")
         q, a = counts
-        pi_map = {}
-        r_map = {}
-        for parts, ln in pi_entries:
-            idx = parse_indices(parts[:-1], 3, ln)
-            _check_range(idx, [q] * 3, ln)
-            pi_map[tuple(idx)] = _parse_value(parts[-1], mode, ln)
-        for token, parts, ln in r_entries:
-            raw = parts if token == "accept" else parts[:-1]
-            idx = parse_indices(raw, 6, ln)
-            _check_range(idx, [q] * 3 + [a] * 3, ln)
-            t = tuple(idx[:3])
-            row = r_map.setdefault(t, [zero] * a**3)
-            v = one if token == "accept" else _parse_value(parts[-1], mode, ln)
-            row[encode_tuple(idx[3:], a)] = v
-        for t in pi_map:
-            r_map.setdefault(t, [zero] * a**3)
-        game = PcpGame(q, a, tuple(sorted(pi_map.items())),
-                       tuple(sorted((t, tuple(row)) for t, row in r_map.items())),
-                       mode, labels=label_tuples, meta=meta)
+        pi_dims, r_dims = [q] * 3, [q] * 3 + [a] * 3
     else:
         raise ParseError(kind_line, f"unknown kind {kind!r}")
+
+    # dense tables, or for PCP games maps from index tuples; a later line
+    # overrides an earlier one
+    if kind == KIND_PCP:
+        pi, R = {}, {}
+    else:
+        pi, R = scalars.zeros(pi_dims, mode), scalars.zeros(r_dims, mode)
+    for parts, ln in pi_entries:
+        idx = parse_indices(parts[:-1], len(pi_dims), ln)
+        _check_range(idx, pi_dims, ln)
+        pi[tuple(idx)] = _parse_value(parts[-1], mode, ln)
+    for token, parts, ln in r_entries:
+        idx = parse_indices(parts if token == "accept" else parts[:-1], len(r_dims), ln)
+        _check_range(idx, r_dims, ln)
+        R[tuple(idx)] = one if token == "accept" else _parse_value(parts[-1], mode, ln)
+
+    if kind == KIND_TWO_PROVER:
+        game = TwoProverGame(q1, q2, a1, a2, pi, R, mode, labels=label_tuples,
+                             meta=meta)
+    elif kind == KIND_MULTI_ROUND:
+        game = MultiRoundGame(q, a, r, pi.ravel(), R.ravel(), mode,
+                              labels=label_tuples, meta=meta)
+    else:
+        # one row per triple named by a pi or a predicate line
+        triples = sorted(set(pi) | {idx[:3] for idx in R})
+        row_of = {t: i for i, t in enumerate(triples)}
+        rows = scalars.zeros((len(triples), a, a, a), mode)
+        for idx, v in R.items():
+            rows[(row_of[idx[:3]],) + idx[3:]] = v
+        game = PcpGame(q, a, triples, [pi.get(t, zero) for t in triples],
+                       rows.reshape(len(triples), a**3), mode,
+                       labels=label_tuples, meta=meta)
 
     problems = validate(game)
     if problems:

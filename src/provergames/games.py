@@ -16,21 +16,27 @@ where a transform integrates out verifier randomness that is hidden from
 both provers (see ``transforms.oracularize_pcp_dummy``) or where several
 clauses share a variable triple (``transforms.pcp_from_1in3``).
 
-Two-prover games and strategies hold read-only numpy arrays (float64 in
-float mode, ``Fraction`` objects in rational mode); the single-prover types
-hold nested tuples.
+Every game and strategy holds its tables as read-only numpy arrays:
+float64 in float mode, an object array of ``Fraction``s in rational mode.
+Index tuples keep the flat lexicographic layout throughout: a multi-round
+game's ``pi`` is over Q^r and its ``R`` over Q^r x A^r (``qflat * A**r +
+aflat``), a multi-round strategy's round-k table is ``(Q^k * A^(k-1), A)``,
+a PCP game lists its triples as a sorted ``(T, 3)`` array with ``pi`` of
+shape ``(T,)`` and ``R`` of shape ``(T, A^3)``, and a proof distribution is
+either dense over A^Q or weights on an ``(n, Q)`` array of proof strings.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import scalars
-from .indexing import decode_tuple, encode_tuple, iter_tuples
+from .indexing import digit_table, encode_tuple, iter_tuples
 
 DEFAULT_MAX_TABLE = 10_000_000
 #: Environment variable overriding the dense-table entry guard.
@@ -68,13 +74,6 @@ def check_table_size(entries, what):
     return entries
 
 
-def _freeze(table):
-    """Recursively turn nested lists into nested tuples."""
-    if isinstance(table, (list, tuple)):
-        return tuple(_freeze(x) for x in table)
-    return table
-
-
 def _table(data, mode):
     """Nested lists, tuples or an array as a read-only table array.
 
@@ -93,12 +92,28 @@ def _table(data, mode):
     return table
 
 
+def _index_rows(data, width):
+    """Rows of integer indices (PCP triples, proof strings) as a read-only
+    ``(n, width)`` array."""
+    rows = np.array(data, dtype=int)
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    rows.flags.writeable = False
+    return rows
+
+
 def _same_tables(a, b, names):
     """Equal shape, mode and table entries; labels and meta do not count."""
     if type(a) is not type(b):
         return NotImplemented
+
+    def same(x, y):
+        if isinstance(x, tuple):
+            return len(x) == len(y) and all(map(same, x, y))
+        return np.array_equal(x, y)
+
     return (a.shape == b.shape and a.mode == b.mode
-            and all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names))
+            and all(same(getattr(a, n), getattr(b, n)) for n in names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +162,21 @@ class TwoProverGame:
                              self.labels, self.meta)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class MultiRoundGame:
     """A single-prover game with ``rounds`` nonadaptive questions.
 
-    ``pi`` is flat over Q^r (lexicographic index), ``R`` is flat over
-    Q^r x A^r with index ``qflat * A**r + aflat``.
+    ``pi`` is a ``(Q^r,)`` array over question tuples (lexicographic index)
+    and ``R`` a ``(Q^r * A^r,)`` array with index ``qflat * A**r + aflat``;
+    both are read-only, and ``R.reshape((Q,) * r + (A,) * r)`` is the same
+    table indexed by components.  The constructor also takes flat lists.
     """
 
     q_count: int
     a_count: int
     rounds: int
-    pi: tuple
-    R: tuple
+    pi: np.ndarray
+    R: np.ndarray
     mode: str = scalars.RATIONAL
     labels: dict | None = field(default=None, compare=False)
     meta: dict | None = field(default=None, compare=False)
@@ -169,8 +186,15 @@ class MultiRoundGame:
         check_table_size(self.q_count**self.rounds
                          * (1 + self.a_count**self.rounds),
                          "multi-round game tables")
-        object.__setattr__(self, "pi", _freeze(self.pi))
-        object.__setattr__(self, "R", _freeze(self.R))
+        object.__setattr__(self, "pi", _table(self.pi, self.mode))
+        object.__setattr__(self, "R", _table(self.R, self.mode))
+
+    def __eq__(self, other):
+        return _same_tables(self, other, ("pi", "R"))
+
+    @property
+    def shape(self):
+        return (self.q_count, self.a_count, self.rounds)
 
     def q_tuples(self):
         return iter_tuples(self.q_count, self.rounds)
@@ -183,46 +207,48 @@ class MultiRoundGame:
         return self.R[encode_tuple(qtup, self.q_count) * n + encode_tuple(atup, self.a_count)]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class PcpGame:
     """A three-query PCP game over ``positions`` proof cells.
 
-    ``pi`` maps strictly increasing triples to scalars; ``R`` maps each
-    support triple to a flat tuple over A^3 (lexicographic in (a1,a2,a3)).
+    ``triples`` is a ``(T, 3)`` integer array of strictly increasing rows,
+    sorted and without repeats; ``pi`` is a ``(T,)`` array of their
+    probabilities and ``R`` a ``(T, A^3)`` array of their predicate rows
+    (lexicographic in (a1, a2, a3)).  All three are read-only.
     """
 
     positions: int
     alphabet_size: int
-    pi: tuple  # ((triple, scalar), ...) sorted by triple
-    R: tuple  # ((triple, (scalar,) * A**3), ...) sorted by triple
+    triples: np.ndarray
+    pi: np.ndarray
+    R: np.ndarray
     mode: str = scalars.RATIONAL
     labels: dict | None = field(default=None, compare=False)
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         scalars.check_mode(self.mode)
-        object.__setattr__(self, "pi", tuple(sorted((tuple(t), v) for t, v in self.pi)))
-        object.__setattr__(self, "R", tuple(sorted((tuple(t), _freeze(v)) for t, v in self.R)))
+        object.__setattr__(self, "triples", _index_rows(self.triples, 3))
+        check_table_size(len(self.triples) * (1 + self.alphabet_size**3),
+                         "PCP game tables")
+        object.__setattr__(self, "pi", _table(self.pi, self.mode))
+        object.__setattr__(self, "R", _table(self.R, self.mode))
 
-    def pi_dict(self):
-        return dict(self.pi)
+    def __eq__(self, other):
+        return _same_tables(self, other, ("triples", "pi", "R"))
 
-    def r_dict(self):
-        return dict(self.R)
+    @property
+    def shape(self):
+        return (self.positions, self.alphabet_size)
 
     def support(self):
-        z = scalars.zero(self.mode)
-        return [t for t, v in self.pi if v > z]
-
-    def r_at(self, triple, answers):
-        return self.r_dict()[triple][encode_tuple(answers, self.alphabet_size)]
+        return [tuple(t) for t in self.triples[self.pi > 0].tolist()]
 
     def to_float(self):
         if self.mode == scalars.FLOAT:
             return self
-        pi = tuple((t, float(v)) for t, v in self.pi)
-        R = tuple((t, tuple(float(x) for x in row)) for t, row in self.R)
-        return PcpGame(self.positions, self.alphabet_size, pi, R,
+        return PcpGame(self.positions, self.alphabet_size, self.triples,
+                       self.pi.astype(float), self.R.astype(float),
                        scalars.FLOAT, self.labels, self.meta)
 
 
@@ -279,12 +305,12 @@ class DeterministicBipartiteStrategy:
                                  theta, mode)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class MultiRoundStrategy:
     """Per-round conditional tables theta_k(a_k | q_1..q_k, a_1..a_{k-1}).
 
-    ``tables[k-1]`` is flat over Q^k x A^(k-1) (index
-    ``qflat * A**(k-1) + aflat``), each entry a tuple over A.
+    ``tables[k-1]`` is a read-only ``(Q^k * A^(k-1), A)`` array whose row
+    ``qflat * A**(k-1) + aflat`` is the distribution of the round-k answer.
     """
 
     q_count: int
@@ -295,7 +321,15 @@ class MultiRoundStrategy:
 
     def __post_init__(self):
         scalars.check_mode(self.mode)
-        object.__setattr__(self, "tables", _freeze(self.tables))
+        object.__setattr__(self, "tables",
+                           tuple(_table(t, self.mode) for t in self.tables))
+
+    def __eq__(self, other):
+        return _same_tables(self, other, ("tables",))
+
+    @property
+    def shape(self):
+        return (self.q_count, self.a_count, self.rounds)
 
     def round_dist(self, k, q_prefix, a_prefix):
         """Distribution over A at round k (1-based) given the conversation."""
@@ -303,60 +337,62 @@ class MultiRoundStrategy:
         aidx = encode_tuple(a_prefix, self.a_count) if a_prefix else 0
         return self.tables[k - 1][qidx * self.a_count ** (k - 1) + aidx]
 
-    def induced_prob(self, atup, qtup):
-        """Probability of the full answer tuple given the full question tuple."""
+    def round_factors(self):
+        """Round k's conditional probability of every full conversation, for
+        k = 1..r: ``r`` arrays over Q^r x A^r (flat question and answer
+        indices)."""
+        nq, na, r = self.q_count, self.a_count, self.rounds
+        q = np.arange(nq**r)[:, None]
+        a = np.arange(na**r)[None, :]
+        return [t[q // nq ** (r - k) * na ** (k - 1) + a // na ** (r - k + 1),
+                  a // na ** (r - k) % na]
+                for k, t in enumerate(self.tables, 1)]
+
+    def answer_probs(self):
+        """Probability of each full answer tuple given each full question
+        tuple, ``(Q^r, A^r)``: the product of the round factors in order."""
         p = scalars.one(self.mode)
-        for k in range(1, self.rounds + 1):
-            p *= self.round_dist(k, qtup[:k], atup[: k - 1])[atup[k - 1]]
-            if not p:
-                return p
+        for factor in self.round_factors():
+            p = p * factor
         return p
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class PcpProofDistribution:
-    """Dense distribution over proof strings A^Q (desk scale only)."""
+    """A distribution over proof strings in A^Q.
+
+    Without ``proofs``, ``theta`` is the dense ``(A^Q,)`` table over all
+    proofs in lexicographic order (desk scale only).  With ``proofs``, an
+    ``(n, Q)`` integer array, ``theta[i]`` is the weight of proof ``i``.
+    """
 
     positions: int
     alphabet_size: int
-    theta: tuple  # flat over A^Q, lexicographic
+    theta: np.ndarray
     mode: str = scalars.RATIONAL
+    proofs: np.ndarray | None = None
 
     def __post_init__(self):
         scalars.check_mode(self.mode)
-        check_table_size(self.alphabet_size**self.positions,
-                         "dense proof distribution")
-        object.__setattr__(self, "theta", _freeze(self.theta))
+        if self.proofs is None:
+            check_table_size(self.alphabet_size**self.positions,
+                             "dense proof distribution")
+        else:
+            object.__setattr__(self, "proofs",
+                               _index_rows(self.proofs, self.positions))
+        object.__setattr__(self, "theta", _table(self.theta, self.mode))
 
-    def prob(self, proof):
-        return self.theta[encode_tuple(proof, self.alphabet_size)]
+    def __eq__(self, other):
+        return _same_tables(self, other, ("theta", "proofs"))
 
-    def items(self):
-        for idx, p in enumerate(self.theta):
-            yield decode_tuple(idx, self.alphabet_size, self.positions), p
-
-
-@dataclass(frozen=True, eq=True)
-class ProofMixture:
-    """Lazy mixture of proof strings: avoids materializing A^Q tables."""
-
-    positions: int
-    alphabet_size: int
-    parts: tuple  # ((weight, proof tuple), ...)
-    mode: str = scalars.RATIONAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           tuple((w, tuple(p)) for w, p in self.parts))
-
-    def items(self):
-        for w, proof in self.parts:
-            yield proof, w
+    @property
+    def shape(self):
+        return (self.positions, self.alphabet_size)
 
     @staticmethod
     def point_mass(proof, alphabet_size, mode=scalars.RATIONAL):
-        return ProofMixture(len(proof), alphabet_size,
-                            ((scalars.one(mode), tuple(proof)),), mode)
+        return PcpProofDistribution(len(proof), alphabet_size,
+                                    [scalars.one(mode)], mode, [proof])
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +400,6 @@ class ProofMixture:
 
 
 _MODE_TYPES = {scalars.RATIONAL: (Fraction, int), scalars.FLOAT: (float,)}
-
-
-def _as_array(values):
-    if isinstance(values, np.ndarray):
-        return values
-    return np.array(list(values), dtype=object)
 
 
 def _off_one(total, mode):
@@ -388,7 +418,6 @@ def _wrong_mode(values, mode):
 
 
 def _check_dist(values, mode, where, report):
-    values = _as_array(values)
     for v in values[values < 0]:
         report.append(f"{where}: negative entry {v}")
     total = scalars.total(values, mode)
@@ -398,7 +427,6 @@ def _check_dist(values, mode, where, report):
 
 
 def _check_mode_entries(values, mode, where, report):
-    values = _as_array(values)
     wrong = values[_wrong_mode(values, mode)]
     if wrong.size:
         v = wrong[0]
@@ -410,10 +438,43 @@ def _check_mode_entries(values, mode, where, report):
 
 
 def _check_predicate(values, where, report):
-    values = _as_array(values)
     bad = values[(values < 0) | (values > 1)]
     if bad.size:
         report.append(f"{where}: predicate range violated by entry {bad[0]}")
+
+
+def _increasing(triples, positions):
+    """Mask of the ``(n, 3)`` rows with 0 <= t0 < t1 < t2 < positions."""
+    t = triples
+    return (0 <= t[:, 0]) & (t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2]) & (t[:, 2] < positions)
+
+
+def _validate_pcp(game, report):
+    if game.positions < 3:
+        report.append("a three-query game needs at least 3 positions")
+    t = game.triples
+    if t.ndim != 2 or t.shape[1] != 3:
+        report.append("triples must be rows of three positions")
+        return
+    for row in t[~_increasing(t, game.positions)].tolist():
+        report.append(f"pi supported on non-increasing triple {tuple(row)}")
+    rows = [tuple(row) for row in t.tolist()]
+    for row, n in sorted(Counter(rows).items()):
+        if n > 1:
+            report.append(f"triple {row} is listed {n} times")
+    if rows != sorted(rows):
+        report.append("triples are not in sorted order")
+    if game.pi.shape != (len(t),):
+        report.append("pi length does not match the number of triples")
+        return
+    if game.R.shape != (len(t), game.alphabet_size**3):
+        report.append("R dimensions do not match the triples and A^3")
+        return
+    _check_mode_entries(game.pi, game.mode, "pi", report)
+    _check_dist(game.pi, game.mode, "pi", report)
+    _check_mode_entries(game.R, game.mode, "R", report)
+    for i in np.flatnonzero(((game.R < 0) | (game.R > 1)).any(axis=1)).tolist():
+        _check_predicate(game.R[i], f"R[{rows[i]}]", report)
 
 
 def validate(obj):
@@ -438,32 +499,18 @@ def validate(obj):
         nq, na = obj.q_count**obj.rounds, obj.a_count**obj.rounds
         if obj.q_count < 1 or obj.a_count < 1 or obj.rounds < 1:
             report.append("counts and rounds must be positive")
-        if len(obj.pi) != nq:
+        if obj.pi.shape != (nq,):
             report.append("pi length does not match Q^r")
             return report
-        if len(obj.R) != nq * na:
+        if obj.R.shape != (nq * na,):
             report.append("R length does not match Q^r * A^r")
             return report
         _check_mode_entries(obj.pi, obj.mode, "pi", report)
         _check_dist(obj.pi, obj.mode, "pi", report)
+        _check_mode_entries(obj.R, obj.mode, "R", report)
         _check_predicate(obj.R, "R", report)
     elif isinstance(obj, PcpGame):
-        if obj.positions < 3:
-            report.append("a three-query game needs at least 3 positions")
-        for t, _ in obj.pi:
-            if not (0 <= t[0] < t[1] < t[2] < obj.positions):
-                report.append(f"pi supported on non-increasing triple {t}")
-        pi_d, r_d = obj.pi_dict(), obj.r_dict()
-        missing = [t for t, v in pi_d.items() if v > scalars.zero(obj.mode) and t not in r_d]
-        if missing:
-            report.append(f"support triples missing a predicate row: {missing}")
-        for t, row in obj.R:
-            if len(row) != obj.alphabet_size**3:
-                report.append(f"predicate row for {t} has wrong length")
-        _check_mode_entries(pi_d.values(), obj.mode, "pi", report)
-        _check_dist(pi_d.values(), obj.mode, "pi", report)
-        for t, row in obj.R:
-            _check_predicate(row, f"R[{t}]", report)
+        _validate_pcp(obj, report)
     elif isinstance(obj, BipartiteStrategy):
         theta = obj.theta
         if theta.shape != obj.shape:
@@ -477,24 +524,29 @@ def validate(obj):
             _check_mode_entries(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
             _check_dist(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
     elif isinstance(obj, MultiRoundStrategy):
-        for k in range(1, obj.rounds + 1):
-            table = obj.tables[k - 1]
-            expect = obj.q_count**k * obj.a_count ** (k - 1)
-            if len(table) != expect:
+        if len(obj.tables) != obj.rounds:
+            report.append(f"strategy has {len(obj.tables)} round tables, "
+                          f"expected {obj.rounds}")
+            return report
+        for k, table in enumerate(obj.tables, 1):
+            if table.shape != (obj.q_count**k * obj.a_count ** (k - 1), obj.a_count):
                 report.append(f"round {k} table has wrong length")
                 continue
-            for i, dist in enumerate(table):
-                _check_dist(dist, obj.mode, f"round {k} entry {i}", report)
+            suspect = (table < 0).any(axis=1) | _off_one(
+                scalars.total(table, obj.mode, axis=1), obj.mode)
+            for i in np.flatnonzero(suspect).tolist():
+                _check_dist(table[i], obj.mode, f"round {k} entry {i}", report)
     elif isinstance(obj, PcpProofDistribution):
-        if len(obj.theta) != obj.alphabet_size**obj.positions:
-            report.append("theta length does not match A^Q")
+        if obj.proofs is None:
+            if obj.theta.shape != (obj.alphabet_size**obj.positions,):
+                report.append("theta length does not match A^Q")
+            else:
+                _check_dist(obj.theta, obj.mode, "theta", report)
         else:
-            _check_dist(obj.theta, obj.mode, "theta", report)
-    elif isinstance(obj, ProofMixture):
-        _check_dist([w for w, _ in obj.parts], obj.mode, "mixture weights", report)
-        for _, proof in obj.parts:
-            if len(proof) != obj.positions:
-                report.append(f"proof {proof} has wrong length")
+            _check_dist(obj.theta, obj.mode, "mixture weights", report)
+            if obj.proofs.shape != (len(obj.theta), obj.positions):
+                report.append(f"proofs of shape {obj.proofs.shape} are not one row "
+                              f"of length {obj.positions} per weight")
     else:
         raise TypeError(f"cannot validate {type(obj).__name__}")
     return report
@@ -523,63 +575,43 @@ def eval_two_prover(game, strategy):
 
 
 def eval_multi_round(game, strategy):
-    """Winning probability of a multi-round strategy (expectation of
-    the product of per-round conditionals times the predicate)."""
-    if (game.q_count, game.a_count, game.rounds) != (
-            strategy.q_count, strategy.a_count, strategy.rounds):
+    """Winning probability of a multi-round strategy: the expectation over
+    pi of the induced answer distribution times the predicate."""
+    if game.shape != strategy.shape:
         raise DimensionError("strategy does not match the game")
     scalars.require_same_mode(game.mode, strategy.mode)
-    na = game.a_count**game.rounds
-    total = scalars.zero(game.mode)
-    for qidx, qtup in enumerate(game.q_tuples()):
-        p = game.pi[qidx]
-        if not p:
-            continue
-        base = qidx * na
-        acc = scalars.zero(game.mode)
-        for aidx, atup in enumerate(iter_tuples(game.a_count, game.rounds)):
-            r = game.R[base + aidx]
-            if r:
-                acc += strategy.induced_prob(atup, qtup) * r
-        total += p * acc
-    return total
+    R = game.R.reshape(game.pi.size, -1)
+    return scalars.total(game.pi[:, None] * strategy.answer_probs() * R, game.mode)
 
 
 def eval_pcp(game, proof):
     """Winning probability of a proof distribution in a PCP game."""
-    if (game.positions, game.alphabet_size) != (proof.positions, proof.alphabet_size):
+    if game.shape != proof.shape:
         raise DimensionError("proof does not match the game")
     scalars.require_same_mode(game.mode, proof.mode)
-    r_d = game.r_dict()
-    total = scalars.zero(game.mode)
-    for triple, p in game.pi:
-        if not p:
-            continue
-        row = r_d[triple]
-        dist = pcp_triple_distribution(proof, triple)
-        acc = scalars.zero(game.mode)
-        for aidx, w in enumerate(dist):
-            if w and row[aidx]:
-                acc += w * row[aidx]
-        total += p * acc
-    return total
+    dist = pcp_triple_distribution(proof, game.triples)
+    return scalars.total(game.pi[:, None] * dist * game.R, game.mode)
 
 
-def pcp_triple_distribution(proof, triple):
+def pcp_triple_distribution(proof, triples):
     """Marginalize a proof distribution onto three positions.
 
-    Accepts the dense ``PcpProofDistribution`` or the lazy ``ProofMixture``.
-    Returns a flat tuple over A^3 (lexicographic).
+    ``triples`` is one triple or an ``(n, 3)`` array of them; the result is
+    flat over A^3 (lexicographic) per triple.  The proofs' weights are added
+    in proof order with one ``np.add.at``.
     """
-    q1, q2, q3 = triple
-    if not 0 <= q1 < q2 < q3 < proof.positions:
-        raise DimensionError(f"triple {triple} out of range")
+    t = np.asarray(triples, dtype=int)
+    rows = t.reshape(-1, 3)
+    ok = _increasing(rows, proof.positions)
+    if not ok.all():
+        raise DimensionError(f"triple {tuple(rows[~ok][0].tolist())} out of range")
     a = proof.alphabet_size
-    out = [scalars.zero(proof.mode)] * a**3
-    for pi_string, w in proof.items():
-        if w:
-            out[(pi_string[q1] * a + pi_string[q2]) * a + pi_string[q3]] += w
-    return tuple(out)
+    strings = (digit_table(a, proof.positions) if proof.proofs is None
+               else proof.proofs)
+    codes = strings[:, rows] @ np.array([a * a, a, 1])  # [proof][triple]
+    out = scalars.zeros((len(rows), a**3), proof.mode)
+    np.add.at(out, (np.arange(len(rows)), codes), proof.theta[:, None])
+    return out.reshape(t.shape[:-1] + (a**3,))
 
 
 def is_no_signaling(strategy, tol=None):

@@ -39,10 +39,11 @@ def iter_tuples(base, length):
     return itertools.product(range(base), repeat=length)
 
 
-def digit_table(base, length):
-    """Row ``i`` holds the components of ``decode_tuple(i, base, length)``."""
-    return np.array(list(iter_tuples(base, length)), dtype=int).reshape(
-        base**length, length)
+def digit_table(base, length, start=0, stop=None):
+    """Row ``i`` holds the components of ``decode_tuple(start + i, base,
+    length)``, for ``start + i`` below ``stop`` (default ``base**length``)."""
+    idx = np.arange(start, base**length if stop is None else stop)
+    return idx[:, None] // base ** np.arange(length - 1, -1, -1) % base
 
 
 class PrefixIndex:

@@ -36,7 +36,7 @@ from .games import (
     is_no_signaling,
     pcp_triple_distribution,
 )
-from .indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
+from .indexing import PrefixIndex, decode_tuple, digit_table, encode_tuple, iter_tuples
 from .lp import VerificationError
 from .transforms import pcp_question_marginal
 
@@ -94,9 +94,9 @@ class NsMarginalTables:
     strategy: BipartiteStrategy
     rounds: int
     q_tuples: tuple  # first-prover questions (support of base pi)
-    alpha: dict  # q index -> tuple over A^r
-    alpha_prefix: dict  # (q index, k) -> tuple over A^k
-    beta: dict  # prefix tuple -> tuple over A^k
+    alpha: np.ndarray  # [q index] -> distribution over A^r
+    alpha_prefix: dict  # (q index, k) -> array over A^k
+    beta: dict  # prefix tuple -> array over A^k
     eps: object
     eps_cons: object
     eps_sim: object
@@ -117,6 +117,18 @@ def _require_meta(gprime, kind):
     return meta
 
 
+def _questions(meta):
+    """The first prover's question tuples of an oracularized multi-round
+    game, their flat indices in the base game, and ``[q index][k - 1]``: the
+    second prover's question index of each tuple's length-k prefix."""
+    q_tuples = [tuple(q) for q in meta["q1_tuples"]]
+    probe = {tuple(p): j for j, p in enumerate(meta["q2_prefixes"])}
+    probes = np.array([[probe[q[:k]] for k in range(1, meta["rounds"] + 1)]
+                       for q in q_tuples])
+    qflat = np.array([encode_tuple(q, meta["base_q_count"]) for q in q_tuples])
+    return q_tuples, qflat, probes
+
+
 def reconstruct_multi_round(gprime):
     """Rebuild the base game from an oracularized game's tables.
 
@@ -126,21 +138,14 @@ def reconstruct_multi_round(gprime):
     """
     meta = _require_meta(gprime, "oracularized_multi_round")
     r, nq, na = meta["rounds"], meta["base_q_count"], meta["base_a_count"]
-    q_tuples = [tuple(q) for q in meta["q1_tuples"]]
-    prefixes = {tuple(p): j for j, p in enumerate(meta["q2_prefixes"])}
-    a_index = PrefixIndex(na, r)
-    zero = scalars.zero(gprime.mode)
-
-    pi = [zero] * nq**r
-    R = [zero] * (nq**r * na**r)
-    for i, q in enumerate(q_tuples):
-        j = prefixes[q]
-        qidx = encode_tuple(q, nq)
-        pi[qidx] = gprime.pi[i, j] * r
-        base = qidx * na**r
-        for aidx, atup in enumerate(iter_tuples(na, r)):
-            R[base + aidx] = gprime.R[i, j, aidx, a_index.encode(atup)]
-    return MultiRoundGame(nq, na, r, pi, R, gprime.mode)
+    q_tuples, qflat, probes = _questions(meta)
+    i, full = np.arange(len(q_tuples)), probes[:, -1]
+    a = np.arange(na**r)
+    pi = scalars.zeros(nq**r, gprime.mode)
+    pi[qflat] = gprime.pi[i, full] * r
+    R = scalars.zeros((nq**r, na**r), gprime.mode)
+    R[qflat] = gprime.R[i[:, None], full[:, None], a, PrefixIndex(na, r).offsets[-1] + a]
+    return MultiRoundGame(nq, na, r, pi, R.ravel(), gprime.mode)
 
 
 def normalize_answer_shape(theta, gprime):
@@ -186,104 +191,63 @@ def ns_decompose(gprime, theta):
     if not ok:
         raise ValueError(f"strategy signals: max marginal discrepancy {violation}")
 
-    r, nq, na = meta["rounds"], meta["base_q_count"], meta["base_a_count"]
-    q_tuples = [tuple(q) for q in meta["q1_tuples"]]
+    r, na = meta["rounds"], meta["base_a_count"]
+    rational = scalars.RATIONAL
     prefixes = [tuple(p) for p in meta["q2_prefixes"]]
-    prefix_idx = {p: j for j, p in enumerate(prefixes)}
+    q_tuples, qflat, probes = _questions(meta)
     a_index = PrefixIndex(na, r)
-    a_tuples = [a_index.decode(i) for i in range(len(a_index))]
-    a_full = list(iter_tuples(na, r))
-    zero, one = Fraction(0), Fraction(1)
+    T = theta.theta
+    one = Fraction(1)
 
-    for i in range(len(q_tuples)):
-        for j, p in enumerate(prefixes):
-            if not gprime.pi[i, j]:
-                continue
-            k = len(p)
-            for a1 in range(theta.a1_count):
-                for a2, a2t in enumerate(a_tuples):
-                    if len(a2t) != k and theta.theta[i, j, a1, a2]:
-                        raise ShapeError(
-                            f"answer {a2t} has length {len(a2t)}, probe length {k}")
+    probe_len = np.array([len(p) for p in prefixes])[None, :, None, None]
+    answer_len = np.array([len(a_index.decode(a2)) for a2 in range(len(a_index))])
+    wrong = (gprime.pi != 0)[:, :, None, None] & (answer_len != probe_len) & T.astype(bool)
+    if wrong.any():
+        _, j, _, a2 = np.argwhere(wrong)[0].tolist()
+        a2t = a_index.decode(a2)
+        raise ShapeError(f"answer {a2t} has length {len(a2t)}, probe length {len(prefixes[j])}")
 
     game = reconstruct_multi_round(gprime)
-    pi_of = {q: game.pi_at(q) for q in q_tuples}
+    pi_q = game.pi[qflat]
+    n = len(q_tuples)
 
     # alpha_q from the k=1 pair; no-signaling makes it k-independent, checked
-    alpha = {}
-    for i, q in enumerate(q_tuples):
-        ref = None
-        for k in range(1, r + 1):
-            j = prefix_idx[q[:k]]
-            marg = tuple(sum(theta.theta[i, j, a1]) for a1 in range(theta.a1_count))
-            if ref is None:
-                ref = marg
-            elif marg != ref:
-                raise ValueError(f"alpha marginal for {q} depends on the probe length")
-        alpha[i] = ref
+    marg = scalars.total(T[np.arange(n)[:, None], probes], rational, axis=3)  # [q][k - 1][a1]
+    varies = (marg != marg[:, :1]).any(axis=(1, 2))
+    if varies.any():
+        raise ValueError(f"alpha marginal for {q_tuples[int(np.argmax(varies))]} "
+                         f"depends on the probe length")
+    alpha = marg[:, 0]
 
-    # beta from the lexicographically smallest extension; equality asserted
-    beta = {}
-    for j, p in enumerate(prefixes):
-        k = len(p)
-        extensions = [i for i, q in enumerate(q_tuples) if q[:k] == p]
-        ref = None
-        for i in sorted(extensions, key=lambda i: q_tuples[i]):
-            dist = tuple(
-                sum(theta.theta[i, j, a1, a_index.encode(a2t)]
-                    for a1 in range(theta.a1_count))
-                for a2t in iter_tuples(na, k))
-            if ref is None:
-                ref = dist
-            elif dist != ref:
-                raise ValueError(f"beta for prefix {p} depends on the question suffix")
-        beta[p] = ref
-
-    alpha_prefix = {}
-    for i in range(len(q_tuples)):
-        for k in range(1, r + 1):
-            dist = [zero] * na**k
-            for aidx, atup in enumerate(a_full):
-                dist[encode_tuple(atup[:k], na)] += alpha[i][aidx]
-            alpha_prefix[(i, k)] = tuple(dist)
-
-    eps_cons_qk = {}
-    for i, q in enumerate(q_tuples):
-        for k in range(1, r + 1):
-            j = prefix_idx[q[:k]]
-            mass = zero
-            for aidx, atup in enumerate(a_full):
-                pref = atup[:k]
-                for a2t in iter_tuples(na, k):
-                    if a2t != pref:
-                        mass += theta.theta[i, j, aidx, a_index.encode(a2t)]
-            eps_cons_qk[(i, k)] = mass
-    eps_cons_q = {i: sum(eps_cons_qk[(i, k)] for k in range(1, r + 1)) / r
-                  for i in range(len(q_tuples))}
-    eps_cons = sum(pi_of[q] * eps_cons_q[i] for i, q in enumerate(q_tuples))
-
-    eps_sim = sum(
-        pi_of[q] * sum(a * (one - game.r_at(q, at))
-                       for a, at in zip(alpha[i], a_full))
-        for i, q in enumerate(q_tuples))
-
-    eps = one - eval_two_prover(gprime, theta)
-
-    eps_k = {}
+    beta, alpha_prefix, cons, win = {}, [], [], []
     for k in range(1, r + 1):
-        fail = zero
-        for i, q in enumerate(q_tuples):
-            j = prefix_idx[q[:k]]
-            win = zero
-            for aidx, atup in enumerate(a_full):
-                rv = gprime.R[i, j, aidx]
-                row = theta.theta[i, j, aidx]
-                for a2t in iter_tuples(na, k):
-                    a2 = a_index.encode(a2t)
-                    if row[a2] and rv[a2]:
-                        win += row[a2] * rv[a2]
-            fail += pi_of[q] * (one - win)
-        eps_k[k] = fail
+        start = a_index.offsets[k - 1]
+        # [q index][a1][a2] over the answers of length k to the k-prefix probe
+        block = T[np.arange(n), probes[:, k - 1], :, start:start + na**k]
+        seen = scalars.total(block, rational, axis=1)
+        # beta from the smallest extension of each prefix; equality checked
+        found, first = np.unique(probes[:, k - 1], return_index=True)
+        ref = first[np.searchsorted(found, probes[:, k - 1])]
+        differs = (seen != seen[ref]).any(axis=1)
+        if differs.any():
+            p = prefixes[probes[differs, k - 1].min()]
+            raise ValueError(f"beta for prefix {p} depends on the question suffix")
+        beta.update((prefixes[j], seen[i0]) for j, i0 in zip(found.tolist(), first))
+        alpha_prefix.append(scalars.total(alpha.reshape(len(alpha), na**k, -1),
+                                          rational, axis=2))
+        # the second prover's answer is the first prover's length-k prefix
+        agree = np.arange(na**k) == np.arange(na**r)[:, None] // na ** (r - k)
+        cons.append(scalars.total(np.where(agree, 0, block), rational, axis=(1, 2)))
+        predicate = gprime.R[np.arange(n), probes[:, k - 1], :, start:start + na**k]
+        win.append(scalars.total(block * predicate, rational, axis=(1, 2)))
+    cons = np.array(cons).T  # [q index][k - 1]
+
+    eps_cons_q = scalars.total(cons, rational, axis=1) / r
+    eps_cons = scalars.total(pi_q * eps_cons_q, rational)
+    R_q = game.R.reshape(len(game.pi), -1)[qflat]
+    eps_sim = scalars.total(pi_q[:, None] * alpha * (one - R_q), rational)
+    eps = one - eval_two_prover(gprime, theta)
+    eps_k = {k: scalars.total(pi_q * (one - w), rational) for k, w in enumerate(win, 1)}
 
     if eps != sum(eps_k.values()) / r:
         raise VerificationError(
@@ -291,9 +255,12 @@ def ns_decompose(gprime, theta):
     if eps < eps_cons or eps < eps_sim:
         raise VerificationError(
             f"eps = {eps} is below eps_cons = {eps_cons} or eps_sim = {eps_sim}")
-    return NsMarginalTables(game, gprime, theta, r, tuple(q_tuples), alpha,
-                            alpha_prefix, beta, eps, eps_cons, eps_sim,
-                            eps_cons_qk, eps_cons_q, eps_k)
+    return NsMarginalTables(
+        game, gprime, theta, r, tuple(q_tuples), alpha,
+        {(q, k): alpha_prefix[k - 1][q] for q in range(n) for k in range(1, r + 1)},
+        beta, eps, eps_cons, eps_sim,
+        {(q, k): cons[q, k - 1] for q in range(n) for k in range(1, r + 1)},
+        dict(enumerate(eps_cons_q.tolist())), eps_k)
 
 
 def round_no_signaling(tables):
@@ -306,24 +273,20 @@ def round_no_signaling(tables):
     """
     g = tables.game
     nq, na, r = g.q_count, g.a_count, tables.rounds
-    uniform = tuple(Fraction(1, na) for _ in range(na))
+    uniform = Fraction(1, na)
     rounds = []
     for k in range(1, r + 1):
-        table = []
-        for qp in iter_tuples(nq, k):
-            b = tables.beta.get(qp)
-            for ap in iter_tuples(na, k - 1):
-                if b is None:
-                    table.append(uniform)
-                    continue
-                nums = [b[encode_tuple(ap + (a,), na)] for a in range(na)]
-                den = Fraction(1) if k == 1 else sum(nums)
-                if den == 0:
-                    table.append(uniform)
-                else:
-                    table.append(tuple(v / den for v in nums))
-        rounds.append(tuple(table))
-    return MultiRoundStrategy(nq, na, r, tuple(rounds), scalars.RATIONAL)
+        table = np.full((nq**k, na ** (k - 1), na), uniform, dtype=object)
+        prefixes = [p for p in tables.beta if len(p) == k]
+        nums = np.array([tables.beta[p] for p in prefixes], dtype=object).reshape(
+            len(prefixes), na ** (k - 1), na)
+        den = (np.full(nums.shape[:2], Fraction(1), dtype=object) if k == 1
+               else scalars.total(nums, scalars.RATIONAL, axis=2))
+        played = (den != 0)[..., None]
+        table[[encode_tuple(p, nq) for p in prefixes]] = np.where(
+            played, nums / np.where(played, den[..., None], 1), uniform)
+        rounds.append(table.reshape(-1, na))
+    return MultiRoundStrategy(nq, na, r, rounds, scalars.RATIONAL)
 
 
 @dataclass(frozen=True)
@@ -336,46 +299,40 @@ class HybridFamily:
     """
 
     rounds: int
-    h: dict  # (k, q index) -> tuple over A^r
+    h: np.ndarray  # [k - 1][q index] -> distribution over A^r
     p: dict  # k -> scalar
 
 
 def hybrid_family(tables, rounded, game):
-    """Build h<k> for k = 1..r and their values p_k."""
-    r = tables.rounds
-    na = game.a_count
-    a_full = list(iter_tuples(na, r))
-    h = {}
-    for i, q in enumerate(tables.q_tuples):
-        for k in range(1, r + 1):
-            b = tables.beta[q[:k]]
-            dist = []
-            for atup in a_full:
-                v = b[encode_tuple(atup[:k], na)]
-                for step in range(k + 1, r + 1):
-                    if not v:
-                        break
-                    v *= rounded.round_dist(step, q[:step], atup[:step - 1])[atup[step - 1]]
-                dist.append(v)
-            h[(k, i)] = tuple(dist)
+    """Build h<k> for k = 1..r and their values p_k.
 
-    p = {}
+    h<k> answers the first k rounds with the second prover's prefix
+    distribution and the later rounds with the rounded strategy.
+    """
+    r = tables.rounds
+    nq, na = game.q_count, game.a_count
+    qflat = np.array([encode_tuple(q, nq) for q in tables.q_tuples])
+    factors = [f[qflat] for f in rounded.round_factors()]
+    answer = np.arange(na**r)
+    h = []
     for k in range(1, r + 1):
-        total = Fraction(0)
-        for i, q in enumerate(tables.q_tuples):
-            pq = game.pi_at(q)
-            if pq:
-                total += pq * sum(v * game.r_at(q, at)
-                                  for v, at in zip(h[(k, i)], a_full) if v)
-        p[k] = total
+        b = np.array([tables.beta[q[:k]] for q in tables.q_tuples], dtype=object)
+        v = b[:, answer // na ** (r - k)]
+        for f in factors[k:]:
+            v = v * f
+        h.append(v)
+    h = np.array(h)
+    weight = game.pi[qflat][:, None] * game.R.reshape(nq**r, na**r)[qflat]
+    p = {k: scalars.total(weight * hk, scalars.RATIONAL) for k, hk in enumerate(h, 1)}
 
     # h<1> must be exactly the family induced by the rounded strategy
-    for i, q in enumerate(tables.q_tuples):
-        for v, atup in zip(h[(1, i)], a_full):
-            if v != rounded.induced_prob(atup, q):
-                raise VerificationError(
-                    f"h<1>{q} at {atup} is {v}, not the rounded strategy's "
-                    f"{rounded.induced_prob(atup, q)}")
+    induced = rounded.answer_probs()[qflat]
+    off = np.argwhere(h[0] != induced)
+    if off.size:
+        i, a = off[0].tolist()
+        raise VerificationError(
+            f"h<1>{tables.q_tuples[i]} at {decode_tuple(a, na, r)} is {h[0][i, a]}, "
+            f"not the rounded strategy's {induced[i, a]}")
     if p[r] < 1 - tables.eps_k[r]:
         raise VerificationError(
             f"p_r = {p[r]} is below 1 - eps(r) = {1 - tables.eps_k[r]}")
@@ -400,7 +357,7 @@ def verify_ns_claims(tables, hybrids, lp_optimal=False):
                 f"claim-ab-close[q={q},k={k}]", sd, tables.eps_cons_qk[(i, k)], zero))
     for i, q in enumerate(tables.q_tuples):
         for k in range(2, r + 1):
-            sd = statistical_difference(hybrids.h[(k - 1, i)], hybrids.h[(k, i)])
+            sd = statistical_difference(hybrids.h[k - 2][i], hybrids.h[k - 1][i])
             bound = tables.eps_cons_qk[(i, k - 1)] + tables.eps_cons_qk[(i, k)]
             rows.append(InequalityRow(
                 f"claim-hybrid[q={q},k={k}]", sd, bound, zero))
@@ -437,7 +394,7 @@ class ComRoundingTables:
     Nbar: tuple  # [new label][a] -> operator on factor 2
     X: tuple  # psd sqrt of Mbar
     Y: tuple  # psd sqrt of Nbar
-    triple_ops: dict  # sorted-label triple -> tuple over A^3 of factor-1 PVM elements
+    triple_ops: dict  # sorted-label triple -> (A^3, d, d) array of factor-1 PVM elements
     d1: tuple
     d2: tuple  # [q][qtilde]
     d3: dict  # (sorted-label triple, coordinate) -> float
@@ -487,8 +444,10 @@ def com_decompose(game, gprime, strategy):
                     f"strategy is not symmetrized: N[{u},{v}] has off-diagonal mass")
 
     gf = game.to_float()
-    pi_d = gf.pi_dict()
-    r_d = gf.r_dict()
+    sup = gf.pi > 0
+    if gf.triples[sup].tolist() != [list(t) for t in triples_orig]:
+        raise ValueError("the game's support triples do not match the oracularized game")
+    pi_t = gf.pi[sup].tolist()
     marg_exact = pcp_question_marginal(game)
     order = sorted(range(len(positions_orig)),
                    key=lambda i: (-marg_exact[positions_orig[i]], positions_orig[i]))
@@ -525,7 +484,7 @@ def com_decompose(game, gprime, strategy):
         acc_m = [np.zeros((d1_dim, d1_dim), dtype=complex) for _ in range(a)]
         for ti, t in enumerate(triples_orig):
             if q in t:
-                w = pi_d[t] / float(marg_exact[q]) / 3.0
+                w = pi_t[ti] / float(marg_exact[q]) / 3.0
                 for x, e in zip(acc_m, m_marginal(ti, t.index(q))):
                     x += w * e
         mbar_orig[q] = acc_m
@@ -548,42 +507,32 @@ def com_decompose(game, gprime, strategy):
         marginal[q] * sum(expect(Mbar[q][x], Nbar[q][x]) for x in range(a))
         for q in range(qn))
 
-    # relabel the game and the per-triple measurements
+    # relabel the game and the per-triple measurements: new coordinate c of
+    # triple t reads the original coordinate coord[t][c], and new answer aidx
+    # is the original answer oidx[t][aidx]
     old_label = {p: i for i, p in enumerate(positions)}  # original value -> new label
-    triple_ops = {}
-    pi_new, r_new = [], []
-    for ti, t in enumerate(triples_orig):
-        new = tuple(sorted(old_label[q] for q in t))
-        # coordinate c of the new triple reads original position positions[new[c]]
-        coord_map = [t.index(positions[new[c]]) for c in range(3)]
-        ops = []
-        row = []
-        src = r_d[t]
-        for aidx in range(a**3):
-            b = decode_tuple(aidx, a, 3)
-            orig = [0, 0, 0]
-            for c in range(3):
-                orig[coord_map[c]] = b[c]
-            oidx = encode_tuple(tuple(orig), a)
-            ops.append(strategy.povms1[ti].elements[oidx])
-            row.append(src[oidx])
-        triple_ops[new] = tuple(ops)
-        pi_new.append((new, pi_d[t]))
-        r_new.append((new, tuple(row)))
-    game_sorted = PcpGame(qn, a, tuple(pi_new), tuple(r_new), scalars.FLOAT,
-                          meta={"kind": "relabeled_pcp",
-                                "positions": list(positions)})
+    labels = np.array([[old_label[q] for q in t] for t in triples_orig])
+    coord = np.argsort(labels, axis=1)
+    new = np.take_along_axis(labels, coord, axis=1)
+    oidx = (digit_table(a, 3)[:, np.argsort(coord, axis=1)] @ np.array([a * a, a, 1])).T
+    triple_ops = {tuple(t): np.array(povm.elements)[o]
+                  for t, povm, o in zip(new.tolist(), strategy.povms1, oidx)}
+    rank = np.lexsort(new.T[::-1])
+    game_sorted = PcpGame(qn, a, new[rank], np.array(pi_t)[rank],
+                          gf.R[sup][np.arange(len(new))[:, None], oidx][rank],
+                          scalars.FLOAT, meta={"kind": "relabeled_pcp",
+                                               "positions": list(positions)})
+    relabeled = list(zip(map(tuple, game_sorted.triples.tolist()),
+                         game_sorted.pi.tolist(), game_sorted.R.tolist()))
 
     eps_sim = 1.0
-    for t, p in game_sorted.pi:
-        src = game_sorted.r_dict()[t]
+    for t, p, src in relabeled:
         eps_sim -= p * sum(
             float(np.real(np.vdot(psi_m, triple_ops[t][aidx] @ psi_m))) * src[aidx]
             for aidx in range(a**3) if src[aidx])
 
     win = 0.0
-    for t, p in game_sorted.pi:
-        src = game_sorted.r_dict()[t]
+    for t, p, src in relabeled:
         for c in range(3):
             nb = Nbar[t[c]]
             for aidx in range(a**3):
@@ -699,6 +648,8 @@ def verify_com_claims(game, tables, rounded):
     a, qn = tables.alphabet, tables.num_positions
     tol = FLOAT_CLAIM_TOL
     m = tables.marginal
+    triples = list(zip(map(tuple, tables.game_sorted.triples.tolist()),
+                       tables.game_sorted.pi.tolist()))
     rows = [
         InequalityRow("claim-bound-d[E d1^2 <= 2 eps_cons]",
                       sum(m[q] * tables.d1[q] ** 2 for q in range(qn)),
@@ -709,7 +660,7 @@ def verify_com_claims(game, tables, rounded):
                       2 * tables.eps_cons, tol),
         InequalityRow("claim-bound-d[E d3^2 <= 2 eps_cons]",
                       sum(p * tables.d3[(t, c)] ** 2 / 3.0
-                          for t, p in tables.game_sorted.pi for c in range(3)),
+                          for t, p in triples for c in range(3)),
                       2 * tables.eps_cons, tol),
         InequalityRow("claim-bound-d[E d4^2 <= 32 eps_cons]",
                       sum(m[q1] * m[q2] * tables.d4[q1][q2] ** 2
@@ -719,7 +670,7 @@ def verify_com_claims(game, tables, rounded):
 
     psi_m = tables.strategy.state_matrix()
     raw = PcpProofDistribution(qn, a, rounded.raw, scalars.FLOAT)
-    for t, p in tables.game_sorted.pi:
+    for t, p in triples:
         if not p:
             continue
         induced = pcp_triple_distribution(raw, t)

@@ -9,8 +9,12 @@ with violation exactly 0.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from . import scalars
 from .games import (
@@ -29,37 +33,38 @@ def _uniform_support(rng, size, keep=0.7):
     return support
 
 
+def _uniform_on(support, size):
+    """Equal rational weights on ``support``, zero elsewhere."""
+    pi = scalars.zeros(size, scalars.RATIONAL)
+    pi[support] = Fraction(1, len(support))
+    return pi
+
+
+def _bernoulli(rng, shape, density):
+    """A 0/1 rational table drawn entry by entry in row-major order."""
+    draws = [Fraction(1) if rng.random() < density else Fraction(0)
+             for _ in range(math.prod(shape))]
+    return np.array(draws, dtype=object).reshape(shape)
+
+
 def random_two_prover_game(rng, q1=3, q2=3, a1=2, a2=2, density=0.5):
-    pairs = _uniform_support(rng, q1 * q2)
-    w = Fraction(1, len(pairs))
-    pi = [[w if q1_ * q2 + q2_ in pairs else Fraction(0) for q2_ in range(q2)]
-          for q1_ in range(q1)]
-    R = [[[[Fraction(1) if rng.random() < density else Fraction(0)
-            for _ in range(a2)] for _ in range(a1)]
-          for _ in range(q2)] for _ in range(q1)]
-    return TwoProverGame(q1, q2, a1, a2, pi, R, scalars.RATIONAL)
+    pi = _uniform_on(_uniform_support(rng, q1 * q2), q1 * q2).reshape(q1, q2)
+    return TwoProverGame(q1, q2, a1, a2, pi, _bernoulli(rng, (q1, q2, a1, a2), density),
+                         scalars.RATIONAL)
 
 
 def random_multi_round_game(rng, q=2, a=2, rounds=2, density=0.3):
     nq, na = q**rounds, a**rounds
-    support = _uniform_support(rng, nq)
-    w = Fraction(1, len(support))
-    pi = [w if i in support else Fraction(0) for i in range(nq)]
-    R = [Fraction(1) if rng.random() < density else Fraction(0)
-         for _ in range(nq * na)]
-    return MultiRoundGame(q, a, rounds, pi, R, scalars.RATIONAL)
+    pi = _uniform_on(_uniform_support(rng, nq), nq)
+    return MultiRoundGame(q, a, rounds, pi, _bernoulli(rng, (nq * na,), density),
+                          scalars.RATIONAL)
 
 
 def random_pcp_game(rng, positions=4, alphabet=2, density=0.25):
-    triples = [(i, j, k) for i in range(positions) for j in range(i + 1, positions)
-               for k in range(j + 1, positions)]
+    triples = list(itertools.combinations(range(positions), 3))
     chosen = [triples[i] for i in _uniform_support(rng, len(triples))]
-    w = Fraction(1, len(chosen))
-    pi = tuple((t, w) for t in chosen)
-    R = tuple((t, tuple(Fraction(1) if rng.random() < density else Fraction(0)
-                        for _ in range(alphabet**3)))
-              for t in chosen)
-    return PcpGame(positions, alphabet, pi, R, scalars.RATIONAL)
+    return PcpGame(positions, alphabet, chosen, [Fraction(1, len(chosen))] * len(chosen),
+                   _bernoulli(rng, (len(chosen), alphabet**3), density), scalars.RATIONAL)
 
 
 def random_deterministic_strategy(rng, game):
@@ -78,32 +83,22 @@ def random_local_distribution(rng, n, denominator=12):
 
 def random_product_strategy(rng, game):
     """Independent local randomizers: prover 2 ignores prover 1 entirely."""
-    u1 = [random_local_distribution(rng, game.a1_count) for _ in range(game.q1_count)]
-    u2 = [random_local_distribution(rng, game.a2_count) for _ in range(game.q2_count)]
-    theta = [[[[u1[q1][a1] * u2[q2][a2] for a2 in range(game.a2_count)]
-               for a1 in range(game.a1_count)]
-              for q2 in range(game.q2_count)]
-             for q1 in range(game.q1_count)]
-    return BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
-                             game.a2_count, theta, scalars.RATIONAL)
+    u1 = np.array([random_local_distribution(rng, game.a1_count)
+                   for _ in range(game.q1_count)], dtype=object)
+    u2 = np.array([random_local_distribution(rng, game.a2_count)
+                   for _ in range(game.q2_count)], dtype=object)
+    theta = u1[:, None, :, None] * u2[None, :, None, :]
+    return BipartiteStrategy(*game.shape, theta, scalars.RATIONAL)
 
 
 def random_ns_strategy(rng, game, parts=4):
     """Exact-rational mixture of deterministic product strategies."""
     weights = random_local_distribution(rng, parts, denominator=8)
     members = [random_deterministic_strategy(rng, game) for _ in range(parts)]
-    theta = [[[[Fraction(0) for _ in range(game.a2_count)]
-               for _ in range(game.a1_count)]
-              for _ in range(game.q2_count)]
-             for _ in range(game.q1_count)]
+    theta = scalars.zeros(game.shape, scalars.RATIONAL)
     for w, det in zip(weights, members):
-        if not w:
-            continue
-        for q1 in range(game.q1_count):
-            for q2 in range(game.q2_count):
-                theta[q1][q2][det.f1[q1]][det.f2[q2]] += w
-    return BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
-                             game.a2_count, theta, scalars.RATIONAL)
+        theta[det.answer_cells()] += w
+    return BipartiteStrategy(*game.shape, theta, scalars.RATIONAL)
 
 
 def seeded(seed):

@@ -25,7 +25,7 @@ from .games import (
     TwoProverGame,
     check_table_size,
 )
-from .indexing import PrefixIndex, digit_table, encode_tuple, iter_tuples
+from .indexing import PrefixIndex, digit_table, encode_tuple
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,16 @@ def oracularize_multi_round(game):
     first prover's prefix).
     """
     r = game.rounds
-    q1_tuples = [q for q in game.q_tuples() if game.pi_at(q)]
-    prefixes = []
-    seen = set()
+    support = np.flatnonzero(game.pi)
+    q1_tuples = digit_table(game.q_count, r)[support]
+    # the probes of each length, sorted, and which one is each question's
+    # prefix of that length
+    prefixes, probe_of = [], []
     for k in range(1, r + 1):
-        for q in q1_tuples:
-            p = q[:k]
-            if p not in seen:
-                seen.add(p)
-                prefixes.append(p)
-    prefixes.sort(key=lambda p: (len(p), p))
+        found, inverse = np.unique(q1_tuples[:, :k], axis=0, return_inverse=True)
+        probe_of.append(len(prefixes) + inverse.reshape(-1))
+        prefixes.extend(found.tolist())
+    probe_of = np.array(probe_of).T  # [question][k - 1]
 
     a_index = PrefixIndex(game.a_count, r)
     a1_count = game.a_count**r
@@ -89,28 +89,31 @@ def oracularize_multi_round(game):
                      "oracularize_multi_round predicate")
 
     inv_r = (Fraction(1, r) if game.mode == scalars.RATIONAL else 1.0 / r)
-    dtype = scalars.dtype(game.mode)
-    qidx = [encode_tuple(q, game.q_count) for q in q1_tuples]
-
-    probed = np.array([[q[:len(p)] == p for p in prefixes] for q in q1_tuples])
-    pi_q = np.array([game.pi[i] * inv_r for i in qidx], dtype=dtype)
-    pi = np.where(probed, pi_q[:, None], scalars.zero(game.mode))
+    probed = np.zeros((len(q1_tuples), len(prefixes)), dtype=bool)
+    probed[np.arange(len(q1_tuples))[:, None], probe_of] = True
+    pi = np.where(probed, (game.pi[support] * inv_r)[:, None], scalars.zero(game.mode))
     # the predicate holds where the second prover's answer is the first
     # prover's answer prefix of the probed length, and the full
     # conversation is accepting
-    sim = np.array([game.R[i * a1_count:(i + 1) * a1_count] for i in qidx], dtype=dtype)
-    R = scalars.zeros((len(q1_tuples), len(prefixes), a1_count, a2_count), game.mode)
+    sim = game.R.reshape(game.pi.size, a1_count)[support]
+    lengths = np.array([len(p) for p in prefixes])[:, None]
     a1 = np.arange(a1_count)
-    for j, p in enumerate(prefixes):
-        k = len(p)
-        R[:, j, a1, a_index.offsets[k - 1] + a1 // game.a_count ** (r - k)] = sim
+    answer = np.array(a_index.offsets)[lengths - 1] + a1 // game.a_count ** (r - lengths)
+    R = scalars.zeros((len(q1_tuples), len(prefixes), a1_count, a2_count), game.mode)
+    R[:, np.arange(len(prefixes))[:, None], a1, answer] = sim[:, None, :]
 
     meta = {"kind": "oracularized_multi_round", "rounds": r,
             "base_q_count": game.q_count, "base_a_count": game.a_count,
-            "q1_tuples": [list(q) for q in q1_tuples],
-            "q2_prefixes": [list(p) for p in prefixes]}
+            "q1_tuples": q1_tuples.tolist(),
+            "q2_prefixes": prefixes}
     return TwoProverGame(len(q1_tuples), len(prefixes), a1_count, a2_count,
                          pi, R, game.mode, meta=meta)
+
+
+def _probe_coords(triples, positions):
+    """[triple][position]: the position's coordinate in the triple, or -1."""
+    hit = triples[:, :, None] == np.asarray(positions)[None, None, :]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
 def oracularize_pcp(game):
@@ -120,47 +123,41 @@ def oracularize_pcp(game):
     positions uniformly; consistency requires the single answer to agree
     with the first prover's entry at that position.
     """
-    triples = game.support()
-    positions = sorted({q for t in triples for q in t})
+    sup = game.pi > 0
+    triples = game.triples[sup]
+    positions = np.unique(triples)
     a = game.alphabet_size
     a1_count = a**3
     check_table_size(len(triples) * len(positions) * a1_count * a,
                      "oracularize_pcp predicate")
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero = scalars.zero(game.mode)
-    dtype = scalars.dtype(game.mode)
-    pi_d = game.pi_dict()
-    r_d = game.r_dict()
 
-    # coord[t, pos]: the probed position's coordinate in the triple, or -1
-    coord = np.array([[t.index(pos) if pos in t else -1 for pos in positions]
-                      for t in triples])
-    pi_t = np.array([pi_d[t] * third for t in triples], dtype=dtype)
-    pi = np.where(coord >= 0, pi_t[:, None], zero)
+    coord = _probe_coords(triples, positions)
+    pi = np.where(coord >= 0, (game.pi[sup] * third)[:, None], zero)
     # the first prover's answer at the probed coordinate, [t][pos][a1]
     probed = digit_table(a, 3)[:, coord].transpose(1, 2, 0)
     consistent = (coord[:, :, None, None] < 0) | (probed[..., None] == np.arange(a))
-    sim = np.array([r_d[t] for t in triples], dtype=dtype)
-    R = np.where(consistent, sim[:, None, :, None], zero)
+    R = np.where(consistent, game.R[sup][:, None, :, None], zero)
 
     meta = {"kind": "oracularized_pcp", "alphabet": a,
             "base_positions": game.positions,
-            "triples": [list(t) for t in triples],
-            "positions": list(positions)}
+            "triples": triples.tolist(),
+            "positions": positions.tolist()}
     return TwoProverGame(len(triples), len(positions), a1_count, a, pi, R,
                          game.mode, meta=meta)
 
 
 def pcp_question_marginal(game):
     """Per-position probe marginal: draw a support triple, then one of its
-    three positions uniformly."""
+    three positions uniformly.  Maps each position of a support triple to
+    its probability."""
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
-    marg = {}
-    for t, p in game.pi:
-        if p:
-            for q in t:
-                marg[q] = marg.get(q, scalars.zero(game.mode)) + third * p
-    return marg
+    sup = game.pi != 0
+    marg = scalars.zeros(game.positions, game.mode)
+    np.add.at(marg, game.triples[sup].ravel(), np.repeat(third * game.pi[sup], 3))
+    positions = np.flatnonzero(np.bincount(game.triples[sup].ravel(), minlength=game.positions))
+    return dict(zip(positions.tolist(), marg[positions].tolist()))
 
 
 def oracularize_pcp_dummy(game):
@@ -175,7 +172,8 @@ def oracularize_pcp_dummy(game):
     the correspondingly weighted average of the two consistency checks,
     which makes some entries strictly between 0 and 1.
     """
-    triples = game.support()
+    sup = game.pi > 0
+    triples = game.triples[sup]
     marg = pcp_question_marginal(game)
     positions = sorted(marg)
     pairs = [(u, v) for i, u in enumerate(positions) for v in positions[i:]]
@@ -187,18 +185,16 @@ def oracularize_pcp_dummy(game):
     zero, one = scalars.zero(game.mode), scalars.one(game.mode)
     half = Fraction(1, 2) if game.mode == scalars.RATIONAL else 0.5
     dtype = scalars.dtype(game.mode)
-    pi_d = game.pi_dict()
-    r_d = game.r_dict()
 
     # [t][pair]: coordinate of u and of v in the triple (-1 if absent), and
     # the weight of "u is real, v is dummy" and of the reverse
-    ju = np.array([[t.index(u) if u in t else -1 for u, _ in pairs] for t in triples])
-    jv = np.array([[t.index(v) if v in t else -1 for _, v in pairs] for t in triples])
+    ju = _probe_coords(triples, [u for u, _ in pairs])
+    jv = _probe_coords(triples, [v for _, v in pairs])
     w_u = np.where(ju >= 0, np.array([third * marg[v] for _, v in pairs], dtype=dtype), zero)
     w_v = np.where(jv >= 0, np.array([third * marg[u] for u, _ in pairs], dtype=dtype), zero)
     same = np.array([u == v for u, v in pairs])
     w_total = np.where(same, w_u, w_u + w_v)
-    pi = np.array([pi_d[t] for t in triples], dtype=dtype)[:, None] * w_total
+    pi = game.pi[sup][:, None] * w_total
 
     # acc[t][pair][hit_u][hit_v]: the consistency acceptance given whether
     # the pair's first and second answers match the first prover at u and v
@@ -218,14 +214,14 @@ def oracularize_pcp_dummy(game):
         at_j = digits1[:, j].transpose(1, 2, 0)[..., None]
         return ((j >= 0)[..., None, None] & (at_j == digits2[:, c])).astype(int)
 
-    sim = np.array([r_d[t] for t in triples], dtype=dtype)
+    sim = game.R[sup]
     R = sim[:, None, :, None] * acc[np.arange(len(triples))[:, None, None, None],
                                     np.arange(len(pairs))[None, :, None, None],
                                     hits(ju, 0), hits(jv, 1)]
 
     meta = {"kind": "oracularized_pcp_dummy", "alphabet": a,
             "base_positions": game.positions,
-            "triples": [list(t) for t in triples],
+            "triples": triples.tolist(),
             "positions": list(positions),
             "pairs": [list(p) for p in pairs],
             "real_marginal": [scalars.format_scalar(marg[q]) for q in positions]}
@@ -270,27 +266,23 @@ def pcp_from_1in3(formula):
     if not formula.clauses:
         raise ValueError("formula has no clauses")
     used = sorted({v for cl in formula.clauses for v, _ in cl})
-    pos_of = {v: i for i, v in enumerate(used)}
     m = len(formula.clauses)
+    pos = np.searchsorted(used, [[v for v, _ in cl] for cl in formula.clauses])
+    polarity = np.array([[p for _, p in cl] for cl in formula.clauses])
+    order = np.argsort(pos, axis=1)
+    pos, polarity = (np.take_along_axis(x, order, axis=1) for x in (pos, polarity))
+    # sat[clause][aidx]: exactly one literal is true under the answers
+    sat = ((digit_table(2, 3)[None] == polarity[:, None, :]).sum(axis=2) == 1).astype(int)
 
-    counts = {}
-    sat_counts = {}
-    for cl in formula.clauses:
-        lits = sorted(((pos_of[v], p) for v, p in cl))
-        triple = tuple(q for q, _ in lits)
-        counts[triple] = counts.get(triple, 0) + 1
-        row = sat_counts.setdefault(triple, [0] * 8)
-        for aidx, atup in enumerate(iter_tuples(2, 3)):
-            trues = sum(1 for (q, p), bit in zip(lits, atup) if bool(bit) == p)
-            if trues == 1:
-                row[aidx] += 1
-
-    pi = tuple((t, Fraction(c, m)) for t, c in sorted(counts.items()))
-    R = tuple((t, tuple(Fraction(s, counts[t]) for s in sat_counts[t]))
-              for t in sorted(counts))
+    triples, clause_of, counts = np.unique(pos, axis=0, return_inverse=True,
+                                           return_counts=True)
+    sat_counts = np.zeros((len(triples), 8), dtype=int)
+    np.add.at(sat_counts, clause_of.reshape(-1), sat)
+    pi = [Fraction(c, m) for c in counts.tolist()]
+    R = [[Fraction(s, c) for s in row] for row, c in zip(sat_counts.tolist(), counts.tolist())]
     meta = {"kind": "pcp_1in3", "variables": list(used),
             "num_clauses": m}
-    return PcpGame(len(used), 2, pi, R, scalars.RATIONAL, meta=meta)
+    return PcpGame(len(used), 2, triples, pi, R, scalars.RATIONAL, meta=meta)
 
 
 def honest_strategy_from_proof(proof, game):

@@ -21,7 +21,7 @@ from .games import (
     check_table_size,
     eval_two_prover,
 )
-from .indexing import iter_tuples
+from .indexing import digit_table
 from .lp import EQUAL, LinearProgram, OPTIMAL, VerificationError, solve_lp
 
 
@@ -35,7 +35,8 @@ class ValueResult:
 
 
 #: Entries of the score array of one batch of enumerated function tables in
-#: ``classical_value``; bounds its memory whatever the game size.
+#: ``classical_value`` (and of enumerated proofs in ``pcp_value``); bounds
+#: its memory whatever the game size.
 CLASSICAL_BATCH_ENTRIES = 1 << 18
 
 
@@ -64,8 +65,7 @@ def classical_value(game):
     batch = max(1, CLASSICAL_BATCH_ENTRIES // (q_count * p_count * b_count))
     best = best_f = None
     for start in range(0, a_count**q_count, batch):
-        idx = np.arange(start, min(start + batch, a_count**q_count))
-        f = idx[:, None] // a_count ** np.arange(q_count - 1, -1, -1) % a_count
+        f = digit_table(a_count, q_count, start, min(start + batch, a_count**q_count))
         # scores[table][p][b]: the responder's payoff for answer b to p
         scores = scalars.total(weight[np.arange(q_count), :, f, :], game.mode, axis=1)
         totals = scalars.total(scores.max(axis=2), game.mode, axis=1)
@@ -81,70 +81,53 @@ def classical_value(game):
 def multi_round_value(game):
     """Exact value by backward induction over conversation prefixes.
 
-    ``level[k]`` holds the unnormalized continuation value for every
-    (question prefix, answer prefix) of length k; the recurrence sums over
-    the next question and maximizes over the next answer.  The witness is
-    the deterministic strategy of recorded argmaxes.
+    ``level`` holds the unnormalized continuation value of every (question
+    prefix, answer prefix) of length k, as a ``(Q^k, A^k)`` array; viewed as
+    ``(Q^(k-1), Q, A^(k-1), A)``, one step maximizes over the last answer
+    and sums over the last question.  The witness is the deterministic
+    strategy of the argmaxes (ties keep the smallest answer).
     """
     nq, na, r = game.q_count, game.a_count, game.rounds
     check_table_size(2 * nq**r * na**r, "multi_round_value tables")
-    level = {}
-    for qidx in range(nq**r):
-        base = qidx * na**r
-        for aidx in range(na**r):
-            level[(qidx, aidx)] = game.pi[qidx] * game.R[base + aidx]
-
-    choices = [None] * (r + 1)
-    for k in range(r - 1, -1, -1):
-        new_level = {}
-        choice = {}
-        for qidx in range(nq**k):
-            for aidx in range(na**k):
-                total = scalars.zero(game.mode)
-                for x in range(nq):
-                    best_a, best_v = 0, None
-                    for y in range(na):
-                        v = level[(qidx * nq + x, aidx * na + y)]
-                        if best_v is None or v > best_v:
-                            best_v, best_a = v, y
-                    total += best_v
-                    choice[(qidx * nq + x, aidx)] = best_a
-                new_level[(qidx, aidx)] = total
-        choices[k + 1] = choice
-        level = new_level
-    value = level[(0, 0)]
-
+    level = game.pi[:, None] * game.R.reshape(nq**r, na**r)
     tables = []
-    for k in range(1, r + 1):
-        table = []
-        for qidx in range(nq**k):
-            for aidx in range(na ** (k - 1)):
-                a = choices[k][(qidx, aidx)]
-                dist = [scalars.zero(game.mode)] * na
-                dist[a] = scalars.one(game.mode)
-                table.append(tuple(dist))
-        tables.append(tuple(table))
-    witness = MultiRoundStrategy(nq, na, r, tuple(tables), game.mode)
-    return ValueResult(value, witness, "backward-induction",
+    for k in range(r - 1, -1, -1):
+        block = level.reshape(nq**k, nq, na**k, na)
+        best = np.argmax(block, axis=3).ravel()
+        table = scalars.zeros((best.size, na), game.mode)
+        table[np.arange(best.size), best] = scalars.one(game.mode)
+        tables.insert(0, table)
+        level = scalars.total(block.max(axis=3), game.mode, axis=1)
+    witness = MultiRoundStrategy(nq, na, r, tables, game.mode)
+    return ValueResult(scalars.as_python(level[0, 0]), witness, "backward-induction",
                        game.mode == scalars.RATIONAL)
 
 
 def pcp_value(game):
-    """Exact max over deterministic proofs (enumerates A^Q)."""
-    support = [(t, p) for t, p in game.pi if p]
-    r_d = game.r_dict()
-    check_table_size(game.alphabet_size**game.positions * max(1, len(support)),
-                     "pcp_value enumeration")
-    best, best_proof = None, None
-    for proof in iter_tuples(game.alphabet_size, game.positions):
-        total = scalars.zero(game.mode)
-        for (q1, q2, q3), p in support:
-            a = game.alphabet_size
-            total += p * r_d[(q1, q2, q3)][(proof[q1] * a + proof[q2]) * a + proof[q3]]
-        if best is None or total > best:
-            best, best_proof = total, proof
-    return ValueResult(best, best_proof, "proof-enumeration",
-                       game.mode == scalars.RATIONAL)
+    """Exact max over deterministic proofs.
+
+    Enumerates A^Q in lexicographic batches of ``digit_table`` rows and
+    scores each batch against the support triples at once; ties keep the
+    first proof.
+    """
+    sup = game.pi > 0
+    triples = game.triples[sup]
+    weight = game.pi[sup][:, None] * game.R[sup]
+    a, n = game.alphabet_size, game.positions
+    check_table_size(a**n * max(1, len(triples)), "pcp_value enumeration")
+    batch = max(1, CLASSICAL_BATCH_ENTRIES // max(1, len(triples)))
+    best = best_proof = None
+    for start in range(0, a**n, batch):
+        proofs = digit_table(a, n, start, min(start + batch, a**n))
+        codes = proofs[:, triples] @ np.array([a * a, a, 1])  # [proof][triple]
+        # summed over the triples in order, one proof per column
+        totals = scalars.total(weight[np.arange(len(triples))[:, None], codes.T],
+                               game.mode, axis=0)
+        i = int(np.argmax(totals))
+        if best is None or totals[i] > best:
+            best, best_proof = totals[i], proofs[i]
+    return ValueResult(scalars.as_python(best), tuple(best_proof.tolist()),
+                       "proof-enumeration", game.mode == scalars.RATIONAL)
 
 
 def no_signaling_value(game):

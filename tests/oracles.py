@@ -54,10 +54,10 @@ def brute_multi_round(game):
 
 def brute_pcp(game):
     best = None
-    r_d = game.r_dict()
+    r_d = dict(zip(map(tuple, game.triples.tolist()), game.R))
     for proof in iter_tuples(game.alphabet_size, game.positions):
         v = scalars.zero(game.mode)
-        for t, p in game.pi:
+        for t, p in zip(map(tuple, game.triples.tolist()), game.pi):
             if p:
                 a = game.alphabet_size
                 v += p * r_d[t][(proof[t[0]] * a + proof[t[1]]) * a + proof[t[2]]]
@@ -461,7 +461,8 @@ def naive_oracularize_pcp(game):
     a = game.alphabet_size
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero = scalars.zero(game.mode)
-    pi_d, r_d = game.pi_dict(), game.r_dict()
+    triples_all = [tuple(t) for t in game.triples.tolist()]
+    pi_d, r_d = dict(zip(triples_all, game.pi)), dict(zip(triples_all, game.R))
     pi = [[pi_d[t] * third if pos in t else zero for pos in positions]
           for t in triples]
     R = []
@@ -491,7 +492,8 @@ def naive_oracularize_pcp_dummy(game):
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero, one = scalars.zero(game.mode), scalars.one(game.mode)
     half = Fraction(1, 2) if game.mode == scalars.RATIONAL else 0.5
-    pi_d, r_d = game.pi_dict(), game.r_dict()
+    triples_all = [tuple(t) for t in game.triples.tolist()]
+    pi_d, r_d = dict(zip(triples_all, game.pi)), dict(zip(triples_all, game.R))
     pi, R = [], []
     for t in triples:
         pi_row, r_row = [], []

@@ -11,8 +11,10 @@ from provergames import cli, files, scalars
 from provergames.catalog import chsh, tiny_1in3
 from provergames.games import (
     DimensionError,
+    MultiRoundGame,
     MultiRoundStrategy,
-    ProofMixture,
+    PcpGame,
+    PcpProofDistribution,
     eval_multi_round,
     eval_pcp,
     validate,
@@ -54,16 +56,16 @@ def test_eval_multi_round_dimension_mismatch():
 def test_eval_pcp_dimension_mismatch():
     g = tiny_1in3()
     with pytest.raises(DimensionError):
-        eval_pcp(g, ProofMixture.point_mass((0, 0, 0), 2))
+        eval_pcp(g, PcpProofDistribution.point_mass((0, 0, 0), 2))
 
 
 def test_validate_proof_mixture():
-    ok = ProofMixture(3, 2, ((Fraction(1, 2), (0, 0, 0)),
-                             (Fraction(1, 2), (1, 1, 1))))
+    ok = PcpProofDistribution(3, 2, (Fraction(1, 2), Fraction(1, 2)),
+                              proofs=((0, 0, 0), (1, 1, 1)))
     assert validate(ok) == []
-    short = ProofMixture(3, 2, ((Fraction(1), (0, 0)),))
+    short = PcpProofDistribution(3, 2, (Fraction(1),), proofs=((0, 0),))
     assert any("length" in r for r in validate(short))
-    unnormalized = ProofMixture(3, 2, ((Fraction(1, 3), (0, 0, 0)),))
+    unnormalized = PcpProofDistribution(3, 2, (Fraction(1, 3),), proofs=((0, 0, 0),))
     assert any("normalization" in r for r in validate(unnormalized))
 
 
@@ -72,6 +74,26 @@ def test_validate_multi_round_strategy():
         (Fraction(1, 2), Fraction(1, 4)),
         (Fraction(1), Fraction(0))),))
     assert any("normalization" in r for r in validate(bad))
+
+
+def test_validate_multi_round_strategy_with_too_few_round_tables():
+    one_round = MultiRoundStrategy(2, 2, 2, (((Fraction(1), Fraction(0)),) * 2,))
+    assert validate(one_round) == ["strategy has 1 round tables, expected 2"]
+
+
+def test_validate_pcp_game_rejects_a_repeated_triple():
+    row = (Fraction(1),) * 8
+    twice = PcpGame(3, 2, ((0, 1, 2), (0, 1, 2)), (Fraction(1, 2),) * 2, (row, row))
+    assert validate(twice) == ["triple (0, 1, 2) is listed 2 times"]
+    unsorted = PcpGame(4, 2, ((0, 1, 3), (0, 1, 2)), (Fraction(1, 2),) * 2, (row, row))
+    assert validate(unsorted) == ["triples are not in sorted order"]
+
+
+def test_validate_flags_float_predicate_entries_of_rational_single_prover_games():
+    multi_round = MultiRoundGame(1, 2, 1, [Fraction(1)], [0.5, Fraction(1)])
+    assert validate(multi_round) == ["R: entry 0.5 does not match mode rational"]
+    pcp = PcpGame(3, 2, [(0, 1, 2)], [Fraction(1)], [[0.5] + [Fraction(0)] * 7])
+    assert validate(pcp) == ["R: entry 0.5 does not match mode rational"]
 
 
 def test_constraint_rejects_unknown_relation():

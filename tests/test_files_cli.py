@@ -162,6 +162,18 @@ def test_cli_rejects_bad_size_guard_setting(tmp_path, monkeypatch, capsys, raw):
     assert f"PROVERGAMES_MAX_TABLE must be a positive integer, got {raw!r}" in err
 
 
+@pytest.mark.parametrize("line", ["pi 0 0 1/0", "pi 0 0 abc", "label q1 x foo",
+                                  "label q1 -1 foo"])
+def test_cli_names_the_line_of_a_bad_scalar_or_label(tmp_path, capsys, line):
+    lines = files.serialize_game(chsh()).splitlines()
+    lines.insert(4, line)  # after the header, as line 5
+    game_file = tmp_path / "bad.game"
+    game_file.write_text("\n".join(lines) + "\n")
+    assert cli.run_cli(["value", "classical", str(game_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5: "), err
+
+
 _PLANTED_CERTIFICATE_DEFECT = """
 import sys
 from provergames import cli, lp
@@ -193,6 +205,76 @@ if not sys.flags.optimize:
 values.solve_lp = lambda program: lp.LpSolution(lp.INFEASIBLE)
 sys.exit(cli.run_cli(sys.argv[1:]))
 """
+
+
+# phase 1 of the simplex ends unbounded, which its objective never is
+_PLANTED_PHASE1_UNBOUNDED = """
+import sys
+from provergames import cli, lp
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+real = lp._Tableau.run
+lp._Tableau.run = lambda self, allowed, phase: (
+    lp.UNBOUNDED if phase == "phase1_pivots" else real(self, allowed, phase))
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+# the rounded strategy's first round no longer follows the second prover's
+# first-round distribution, so h<1> is not the family it induces
+_PLANTED_ROUNDED_DEFECT = """
+import sys
+from provergames import cli, games, rounding
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+real = rounding.round_no_signaling
+def reversed_first_round(tables):
+    s = real(tables)
+    return games.MultiRoundStrategy(s.q_count, s.a_count, s.rounds,
+                                    (s.tables[0][:, ::-1],) + s.tables[1:])
+rounding.round_no_signaling = reversed_first_round
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+# eps(r) drops by 1, so p_r falls below 1 - eps(r)
+_PLANTED_EPS_R_DEFECT = """
+import dataclasses, sys
+from provergames import cli, rounding
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+real = rounding.ns_decompose
+def lowered(gprime, theta):
+    t = real(gprime, theta)
+    return dataclasses.replace(t, eps_k={**t.eps_k, t.rounds: t.eps_k[t.rounds] - 1})
+rounding.ns_decompose = lowered
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+# every trace distance reads 2, so D^2 = 4 exceeds 2(1 - <psi|xi>)
+_PLANTED_DISTANCE_DEFECT = """
+import sys
+from provergames import cli, quantum
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+quantum.pure_state_trace_distance = lambda a, b: 2.0
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+# the d1 and d4 distance tables read -1, so the selection-move bound is negative
+_PLANTED_SELECTION_DEFECT = """
+import dataclasses, sys
+from provergames import cli, rounding
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+real = rounding.com_decompose
+def negative_distances(game, gprime, strategy):
+    t = real(game, gprime, strategy)
+    return dataclasses.replace(t, d1=(-1.0,) * len(t.d1),
+                               d4=tuple((-1.0,) * len(row) for row in t.d4))
+rounding.com_decompose = negative_distances
+sys.exit(cli.run_cli(sys.argv[1:]))
+"""
+
+_NS_CLAIMS = ["verify", "ns-claims", "--seed", "3", "--samples", "1", "--strategies", "1"]
 
 
 def _run_optimized(script, *args):
@@ -233,6 +315,25 @@ def test_cli_catches_planted_infeasible_lp_under_optimize_flag(tmp_path):
     proc = _run_optimized(_PLANTED_INFEASIBLE_LP, "value", "no-signaling", str(game_file))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.strip() == "verification failed: no-signaling LP ended infeasible"
+
+
+@pytest.mark.parametrize("script, args, message", [
+    (_PLANTED_PHASE1_UNBOUNDED, ["value", "no-signaling", None],
+     "phase 1 of the simplex ended unbounded"),
+    (_PLANTED_ROUNDED_DEFECT, _NS_CLAIMS, "not the rounded strategy's"),
+    (_PLANTED_EPS_R_DEFECT, _NS_CLAIMS, "is below 1 - eps(r) = "),
+    (_PLANTED_DISTANCE_DEFECT, ["verify", "lemma-distance", "--seed", "1", "--samples", "1"],
+     "distance chain D^2 <= 2(1-<psi|xi>) <= 2p fails: (4.0, "),
+    (_PLANTED_SELECTION_DEFECT, ["verify", "claim-selection", "--seed", "1", "--samples", "1"],
+     "over the bound -3.0"),
+], ids=["phase-1", "h1-identity", "second-prover-win", "lemma-distance", "claim-selection"])
+def test_cli_catches_planted_check_defects_under_optimize_flag(tmp_path, script, args, message):
+    game_file = tmp_path / "chsh.game"
+    game_file.write_text(files.serialize_game(chsh()))
+    proc = _run_optimized(script, *[str(game_file) if a is None else a for a in args])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("verification failed: "), proc.stderr
+    assert message in proc.stderr, proc.stderr
 
 
 def test_cli_verify_json_report_of_a_float_suite(capsys):

@@ -15,7 +15,6 @@ from provergames.games import (
     MultiRoundStrategy,
     PcpGame,
     PcpProofDistribution,
-    ProofMixture,
     TwoProverGame,
     eval_multi_round,
     eval_pcp,
@@ -129,31 +128,31 @@ def test_eval_multi_round_uniform_strategy_matches_direct_sum():
 
 def _single_clause_game():
     # exactly-one-true on positions (0,1,2) of a 3-cell proof
-    pi = (((0, 1, 2), Fraction(1)),)
+    pi = (Fraction(1),)
     row = [Fraction(1) if sum(bits) == 1 else Fraction(0)
            for bits in iter_tuples(2, 3)]
-    R = (((0, 1, 2), tuple(row)),)
-    return PcpGame(3, 2, pi, R)
+    R = (tuple(row),)
+    return PcpGame(3, 2, ((0, 1, 2),), pi, R)
 
 
 def test_eval_pcp_point_mass_cases():
     g = _single_clause_game()
-    zeros = ProofMixture.point_mass((0, 0, 0), 2)
+    zeros = PcpProofDistribution.point_mass((0, 0, 0), 2)
     assert eval_pcp(g, zeros) == 0
-    good = ProofMixture.point_mass((1, 0, 0), 2)
+    good = PcpProofDistribution.point_mass((1, 0, 0), 2)
     assert eval_pcp(g, good) == 1
 
 
 def test_eval_pcp_accept_everything():
-    pi = (((0, 1, 2), Fraction(1)),)
-    R = (((0, 1, 2), (Fraction(1),) * 8),)
-    g = PcpGame(3, 2, pi, R)
+    pi = (Fraction(1),)
+    R = ((Fraction(1),) * 8,)
+    g = PcpGame(3, 2, ((0, 1, 2),), pi, R)
     dense = PcpProofDistribution(3, 2, (Fraction(1, 8),) * 8)
     assert eval_pcp(g, dense) == 1
 
 
 def test_pcp_triple_distribution_point_mass_and_uniform():
-    point = ProofMixture.point_mass((1, 0, 1, 0), 2)
+    point = PcpProofDistribution.point_mass((1, 0, 1, 0), 2)
     dist = pcp_triple_distribution(point, (0, 2, 3))
     assert dist[encode_tuple((1, 1, 0), 2)] == 1
     uniform = PcpProofDistribution(4, 2, (Fraction(1, 16),) * 16)
@@ -163,7 +162,7 @@ def test_pcp_triple_distribution_point_mass_and_uniform():
 
 def test_pcp_triple_distribution_mixture():
     half = Fraction(1, 2)
-    mix = ProofMixture(3, 2, ((half, (0, 0, 0)), (half, (1, 1, 0))))
+    mix = PcpProofDistribution(3, 2, (half, half), proofs=((0, 0, 0), (1, 1, 0)))
     dist = pcp_triple_distribution(mix, (0, 1, 2))
     assert dist[encode_tuple((0, 0, 0), 2)] == half
     assert dist[encode_tuple((1, 1, 0), 2)] == half
@@ -172,7 +171,7 @@ def test_pcp_triple_distribution_mixture():
 
 
 def test_pcp_triple_distribution_range_check():
-    point = ProofMixture.point_mass((0, 0, 0), 2)
+    point = PcpProofDistribution.point_mass((0, 0, 0), 2)
     with pytest.raises(DimensionError):
         pcp_triple_distribution(point, (0, 2, 3))
 

@@ -339,7 +339,7 @@ def test_eps_cons_matches_direct_summation_oracle():
     pairs = [tuple(p) for p in gp.meta["pairs"]]
     pair_idx = {p: j for j, p in enumerate(pairs)}
     triples = [tuple(t) for t in gp.meta["triples"]]
-    pi_d = {t: float(v) for t, v in g.pi if v}
+    pi_d = {t: float(v) for t, v in zip(map(tuple, g.triples.tolist()), g.pi) if v}
     a = gp.meta["alphabet"]
 
     p_cons = 0.0
@@ -394,10 +394,10 @@ def test_ternary_alphabet_com_pipeline():
     rng = random.Random(41)
     rng_np = np.random.default_rng(41)
     triples = ((0, 1, 2),)
-    pi = ((triples[0], Fraction(1)),)
-    R = ((triples[0], tuple(Fraction(1) if rng.random() < 0.15 else Fraction(0)
-                            for _ in range(27))),)
-    g = PcpGame(3, 3, pi, R)
+    pi = (Fraction(1),)
+    R = (tuple(Fraction(1) if rng.random() < 0.15 else Fraction(0)
+               for _ in range(27)),)
+    g = PcpGame(3, 3, triples, pi, R)
     gp = oracularize_pcp_dummy(g)
     s = quantum.random_strategy(rng_np, gp, 2, 2)
     s = quantum.symmetrize_second_prover(s, gp)

@@ -4,6 +4,7 @@ families, and the claim suite, all with zero tolerance."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from provergames.games import (
@@ -47,13 +48,13 @@ def test_reconstruction_round_trip():
     g = random_multi_round_game(rng)
     gp = oracularize_multi_round(g)
     rec = reconstruct_multi_round(gp)
-    assert rec.pi == g.pi
+    assert np.array_equal(rec.pi, g.pi)
     # predicate may differ only on probability-zero question tuples
     nq, na, r = g.q_count, g.a_count, g.rounds
     for qidx in range(nq**r):
         if g.pi[qidx]:
             base = qidx * na**r
-            assert rec.R[base:base + na**r] == g.R[base:base + na**r]
+            assert np.array_equal(rec.R[base:base + na**r], g.R[base:base + na**r])
 
 
 def test_honest_strategy_has_zero_failures():
@@ -69,7 +70,7 @@ def test_honest_strategy_has_zero_failures():
     assert tables.eps == 1 - res.value
     # alpha and beta are consistent point masses
     for (i, k), d in tables.alpha_prefix.items():
-        assert tables.beta[tables.q_tuples[i][:k]] == d
+        assert np.array_equal(tables.beta[tables.q_tuples[i][:k]], d)
     assert report.ok
     assert all(r.lhs == 0 for r in report.rows if "claim-" in r.name)
     # rounding recovers the honest behavior
@@ -233,9 +234,9 @@ def test_round_zero_denominator_gives_uniform():
     # behind the impossible prefix (answered 1 at round 1) the conditional
     # is uniform
     dist = rounded.round_dist(2, (0, 0), (1,))
-    assert dist == (Fraction(1, 2), Fraction(1, 2))
+    assert tuple(dist) == (Fraction(1, 2), Fraction(1, 2))
     # on the support the point mass is reproduced
-    assert rounded.round_dist(1, (0,), ()) == (Fraction(1), Fraction(0))
+    assert tuple(rounded.round_dist(1, (0,), ())) == (Fraction(1), Fraction(0))
 
 
 def test_single_round_pipeline():

@@ -2,6 +2,7 @@
 classical enumeration against nested-loop references, the file round trip,
 equality and immutability."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,13 +13,24 @@ from hypothesis import strategies as st
 
 from provergames import files, scalars, values
 from provergames.catalog import chsh
-from provergames.games import TwoProverGame, uniform_bipartite, validate
+from provergames.games import (
+    MultiRoundGame,
+    PcpGame,
+    PcpProofDistribution,
+    TwoProverGame,
+    eval_pcp,
+    eval_two_prover,
+    uniform_bipartite,
+    validate,
+)
 from provergames.sampling import (
     random_multi_round_game,
     random_pcp_game,
     random_two_prover_game,
 )
 from provergames.transforms import (
+    honest_strategy_from_multi_round,
+    honest_strategy_from_proof,
     oracularize_multi_round,
     oracularize_pcp,
     oracularize_pcp_dummy,
@@ -130,10 +142,96 @@ def test_parse_serialize_round_trip_property(g):
     assert files.serialize_game(parsed) == text
 
 
+_PREDICATE_ENTRIES = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+
+
+def _weights(draw, n, low=0):
+    weights = draw(st.lists(st.integers(low, 5), min_size=n, max_size=n))
+    if not any(weights):
+        weights[0] = 1
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def _in_mode(table, mode):
+    return np.array(table, dtype=object).astype(float) if mode == scalars.FLOAT else table
+
+
+@st.composite
+def multi_round_games(draw, mode):
+    q, a, r = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    pi = _weights(draw, q**r)
+    R = draw(st.lists(_PREDICATE_ENTRIES, min_size=q**r * a**r, max_size=q**r * a**r))
+    return MultiRoundGame(q, a, r, _in_mode(pi, mode), _in_mode(R, mode), mode)
+
+
+@st.composite
+def pcp_games(draw, mode):
+    """Triples drawn with positive probability: a triple of probability 0
+    with a rejecting row has no line in a game file."""
+    n, a = draw(st.integers(3, 5)), draw(st.integers(2, 3))
+    every = list(itertools.combinations(range(n), 3))
+    triples = sorted(draw(st.sets(st.sampled_from(every), min_size=1)))
+    pi = _weights(draw, len(triples), low=1)
+    R = draw(st.lists(st.lists(_PREDICATE_ENTRIES, min_size=a**3, max_size=a**3),
+                      min_size=len(triples), max_size=len(triples)))
+    return PcpGame(n, a, triples, _in_mode(pi, mode), _in_mode(R, mode), mode)
+
+
+_MODES = st.sampled_from([scalars.RATIONAL, scalars.FLOAT])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_MODES.flatmap(multi_round_games), _MODES.flatmap(pcp_games)))
+def test_single_prover_parse_serialize_round_trip_property(g):
+    text = files.serialize_game(g)
+    parsed = files.parse_game(text)
+    assert parsed == g
+    assert files.serialize_game(parsed) == text
+
+
+def _same_value(got, want, mode):
+    if mode == scalars.RATIONAL:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MODES.flatmap(multi_round_games))
+def test_multi_round_oracularization_is_valid_and_honest_play_keeps_the_value(g):
+    gp = oracularize_multi_round(g)
+    assert validate(gp) == []
+    if g.mode == scalars.RATIONAL:
+        assert scalars.total(gp.pi, g.mode) == 1
+    best = values.multi_round_value(g)
+    honest = honest_strategy_from_multi_round(best.witness, g, gp)
+    _same_value(eval_two_prover(gp, honest), best.value, g.mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MODES.flatmap(pcp_games))
+def test_pcp_oracularizations_are_valid_and_honest_play_keeps_the_value(g):
+    best = values.pcp_value(g)
+    _same_value(eval_pcp(g, PcpProofDistribution.point_mass(best.witness, g.alphabet_size,
+                                                            g.mode)), best.value, g.mode)
+    for gp in (oracularize_pcp(g), oracularize_pcp_dummy(g)):
+        assert validate(gp) == []
+        if g.mode == scalars.RATIONAL:
+            assert scalars.total(gp.pi, g.mode) == 1
+        _same_value(eval_two_prover(gp, honest_strategy_from_proof(best.witness, gp)),
+                    best.value, g.mode)
+
+
 def test_tables_are_read_only():
     g = chsh()
     s = uniform_bipartite(2, 2, 2, 2)
-    for table in (g.pi, g.R, g.to_float().R, s.theta):
+    mr = random_multi_round_game(random.Random(0))
+    pcp = random_pcp_game(random.Random(0))
+    witness = values.multi_round_value(mr).witness
+    proof = PcpProofDistribution.point_mass((0, 1, 0, 1), 2)
+    for table in (g.pi, g.R, g.to_float().R, s.theta, mr.pi, mr.R, pcp.triples,
+                  pcp.pi, pcp.R, pcp.to_float().R, *witness.tables, proof.theta,
+                  proof.proofs):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 

@@ -153,7 +153,7 @@ def test_dummy_transform_marginal_identities():
         positions = gp.meta["positions"]
         pairs = [tuple(p) for p in gp.meta["pairs"]]
         # row sums recover the triple distribution
-        pi_d = g.pi_dict()
+        pi_d = dict(zip(map(tuple, g.triples.tolist()), g.pi))
         for i, t in enumerate(gp.meta["triples"]):
             assert sum(gp.pi[i]) == pi_d[tuple(t)]
         # the diagonal pair (q, q) has probability marginal(q)^2
@@ -265,10 +265,10 @@ def test_ternary_alphabet_pcp_game():
 
     rng = random.Random(37)
     triples = ((0, 1, 2), (0, 1, 3))
-    pi = tuple((t, Fraction(1, 2)) for t in triples)
-    R = tuple((t, tuple(Fraction(1) if rng.random() < 0.2 else Fraction(0)
-                        for _ in range(27))) for t in triples)
-    g = PcpGame(4, 3, pi, R)
+    pi = tuple(Fraction(1, 2) for t in triples)
+    R = tuple(tuple(Fraction(1) if rng.random() < 0.2 else Fraction(0)
+                    for _ in range(27)) for t in triples)
+    g = PcpGame(4, 3, triples, pi, R)
     assert validate(g) == []
     w = pcp_value(g).value
     gp = oracularize_pcp(g)

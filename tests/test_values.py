@@ -16,7 +16,7 @@ from provergames.games import (
     eval_pcp,
     eval_two_prover,
     is_no_signaling,
-    ProofMixture,
+    PcpProofDistribution,
     SizeGuardError,
 )
 from provergames.indexing import iter_tuples
@@ -116,7 +116,7 @@ def test_pcp_value_examples():
     assert res.value == best_1in3_fraction(OneInThreeFormula(
         3, (((0, True), (1, True), (2, True)),
             ((0, False), (1, False), (2, False))))) == Fraction(1, 2)
-    witness = ProofMixture.point_mass(res.witness, 2)
+    witness = PcpProofDistribution.point_mass(res.witness, 2)
     assert eval_pcp(contra, witness) == res.value
 
 
