@@ -86,13 +86,11 @@ def _witness_payload(result):
     if isinstance(w, tuple):
         return {"type": "proof", "proof": list(w)}
     if isinstance(w, quantum.QuantumStrategy):
-        def mat(m):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+        def re_im(arr):  # each complex entry as [real, imag]
+            return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
-        return {"type": "quantum", "d1": w.d1, "d2": w.d2,
-                "state": [[float(x.real), float(x.imag)] for x in w.state],
-                "povms1": [[mat(e) for e in p.elements] for p in w.povms1],
-                "povms2": [[mat(e) for e in p.elements] for p in w.povms2]}
+        return {"type": "quantum", "d1": w.d1, "d2": w.d2, "state": re_im(w.state),
+                "povms1": re_im(w.M), "povms2": re_im(w.N)}
     return {"type": "unknown"}
 
 
@@ -306,8 +304,8 @@ def _suite_lemma_distance(args):
     for k in range(args.samples):
         mp = quantum.random_pvm(rng, d1, 2)
         np_ = quantum.random_pvm(rng, d2, 2)
-        m = quantum.Povm(tuple(np.kron(e, np.eye(d2)) for e in mp.elements), True)
-        n = quantum.Povm(tuple(np.kron(np.eye(d1), e) for e in np_.elements), True)
+        m = quantum.Povm(np.kron(mp.elements, np.eye(d2)[None]), True)
+        n = quantum.Povm(np.kron(np.eye(d1)[None], np_.elements), True)
         phi = quantum.random_state(rng, d1 * d2)
         d2v, gap, twop = rounding.verify_lemma_distance(m, n, phi)
         rows.append(InequalityRow(f"sample {k}: D^2 <= 2(1-<psi|xi>)",

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scalars
-from .indexing import digit_table, encode_tuple, iter_tuples
+from .indexing import digit_table, encode_tuple
 
 DEFAULT_MAX_TABLE = 10_000_000
 #: Environment variable overriding the dense-table entry guard.
@@ -196,16 +196,6 @@ class MultiRoundGame:
     def shape(self):
         return (self.q_count, self.a_count, self.rounds)
 
-    def q_tuples(self):
-        return iter_tuples(self.q_count, self.rounds)
-
-    def pi_at(self, qtup):
-        return self.pi[encode_tuple(qtup, self.q_count)]
-
-    def r_at(self, qtup, atup):
-        n = self.a_count**self.rounds
-        return self.R[encode_tuple(qtup, self.q_count) * n + encode_tuple(atup, self.a_count)]
-
 
 @dataclass(frozen=True, eq=False)
 class PcpGame:
@@ -296,13 +286,6 @@ class DeterministicBipartiteStrategy:
         f1, f2 = np.array(self.f1, dtype=int), np.array(self.f2, dtype=int)
         return (np.arange(len(f1))[:, None], np.arange(len(f2))[None, :],
                 f1[:, None], f2[None, :])
-
-    def embed(self, a1_count, a2_count, mode=scalars.RATIONAL):
-        """Point-mass BipartiteStrategy representation."""
-        theta = scalars.zeros((len(self.f1), len(self.f2), a1_count, a2_count), mode)
-        theta[self.answer_cells()] = scalars.one(mode)
-        return BipartiteStrategy(len(self.f1), len(self.f2), a1_count, a2_count,
-                                 theta, mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,12 +79,5 @@ class PrefixIndex:
             k -= 1
         return decode_tuple(idx - self.offsets[k - 1], self.base, k)
 
-    def length_of(self, idx):
-        return len(self.decode(idx))
-
     def __len__(self):
         return self.total
-
-    def all_tuples(self):
-        for k in range(1, self.max_len + 1):
-            yield from iter_tuples(self.base, k)

@@ -2,7 +2,11 @@
 
 Strategies live in tensor-product form: the first prover's operators act on
 the left factor, the second prover's on the right, so commutation between
-the provers is structural.  All matrices are complex numpy arrays.
+the provers is structural.  Measurements are read-only stacked complex
+arrays: a ``Povm`` is ``(A, d, d)``, and a ``QuantumStrategy`` holds one
+``(Q, A, d, d)`` stack per prover, whose rows ``povms1``/``povms2`` give
+as ``Povm`` views.  ``psd_sqrt`` and ``pure_state_trace_distance`` take
+leading stack axes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import numpy as np
 
 from . import scalars
 from .games import BipartiteStrategy, DimensionError
-from .indexing import decode_tuple, encode_tuple
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -22,98 +25,127 @@ PROJECTIVE_TOL = 1e-9
 UNIT_TOL = 1e-8
 
 
-def is_hermitian(mat, tol=HERMITIAN_TOL):
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
+def _dagger(ops):
+    """Conjugate transpose of each matrix of a ``(..., m, n)`` stack."""
+    return ops.conj().swapaxes(-1, -2)
 
 
-def min_eigenvalue(mat):
-    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
+def _operators(data, ndim):
+    """``data`` as a read-only complex array with ``ndim`` axes; one that is
+    read-only already is kept, so a ``Povm`` over a stack row is a view."""
+    ops = np.asarray(data, dtype=complex)
+    if ops.flags.writeable:
+        ops = ops.copy()
+        ops.flags.writeable = False
+    if ops.ndim != ndim:
+        raise DimensionError(f"operator stack has shape {ops.shape}, "
+                             f"expected {ndim} axes")
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Outcome-indexed measurement; ``projective`` asserts M^2 = M."""
+    """Outcome-indexed measurement: a read-only ``(A, d, d)`` array of
+    elements; ``projective`` asserts M^2 = M."""
 
-    elements: tuple
+    elements: np.ndarray
     projective: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           tuple(np.asarray(e, dtype=complex) for e in self.elements))
+        object.__setattr__(self, "elements", _operators(self.elements, 3))
 
     @property
     def dim(self):
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self):
         return len(self.elements)
 
 
+def _stack_problems(stack, projective):
+    """``(question, message)`` for each fault of a ``(Q, A, d, d)`` stack of
+    measurements, ordered by question, then element, then check; a
+    question's completeness fault follows its elements' faults."""
+    qn, an, d, cols = stack.shape
+    checks = (f"has shape {stack.shape[2:]}, expected {(d, d)}",
+              f"is not Hermitian within {HERMITIAN_TOL}",
+              f"has eigenvalue below -{PSD_TOL}",
+              f"is not projective within {PROJECTIVE_TOL}")
+    # [q, i, check] for element i < A; [q, A, 0] marks an incomplete question
+    flags = np.zeros((qn, an + 1, len(checks)), dtype=bool)
+    if d != cols:  # no element has the right shape, so none is summed
+        flags[:, :, 0] = True
+    else:
+        herm = np.abs(stack - _dagger(stack)).max(axis=(-2, -1)) <= HERMITIAN_TOL
+        low = np.linalg.eigvalsh((stack + _dagger(stack)) / 2)[..., 0]
+        flags[:, :an, 1] = ~herm
+        flags[:, :an, 2] = herm & (low < -PSD_TOL)
+        if projective:
+            flags[:, :an, 3] = (np.abs(stack @ stack - stack).max(axis=(-2, -1))
+                                > PROJECTIVE_TOL)
+        off = np.abs(stack.sum(axis=1) - np.eye(d)).max(axis=(-2, -1))
+        flags[:, an, 0] = off > COMPLETENESS_TOL
+    return [(q, f"element {i} {checks[k]}" if i < an else
+             f"elements do not sum to the identity within {COMPLETENESS_TOL}")
+            for q, i, k in zip(*np.nonzero(flags))]
+
+
 def validate_povm(povm):
-    report = []
-    d = povm.dim
-    total = np.zeros((d, d), dtype=complex)
-    for i, e in enumerate(povm.elements):
-        if e.shape != (d, d):
-            report.append(f"element {i} has shape {e.shape}, expected {(d, d)}")
-            continue
-        if not is_hermitian(e):
-            report.append(f"element {i} is not Hermitian within {HERMITIAN_TOL}")
-        elif min_eigenvalue(e) < -PSD_TOL:
-            report.append(f"element {i} has eigenvalue below -{PSD_TOL}")
-        if povm.projective and np.max(np.abs(e @ e - e)) > PROJECTIVE_TOL:
-            report.append(f"element {i} is not projective within {PROJECTIVE_TOL}")
-        total += e
-    if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
-        report.append(f"elements do not sum to the identity within {COMPLETENESS_TOL}")
-    return report
+    return [msg for _, msg in _stack_problems(povm.elements[None], povm.projective)]
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumStrategy:
-    """Shared pure state plus per-question POVM families for both provers."""
+    """Shared pure state plus both provers' measurements as operator stacks.
+
+    ``M`` is a read-only ``(Q1, A1, d1, d1)`` array, ``M[q1, a1]`` the first
+    prover's element for answer ``a1`` on question ``q1``; ``N`` is the
+    second prover's ``(Q2, A2, d2, d2)`` stack.  ``projective`` asserts that
+    every element is a projector.
+    """
 
     d1: int
     d2: int
     state: np.ndarray  # unit vector in C^(d1*d2)
-    povms1: tuple  # one Povm (outcomes = A1) per first-prover question
-    povms2: tuple  # one Povm (outcomes = A2) per second-prover question
+    M: np.ndarray
+    N: np.ndarray
+    projective: bool = False
     meta: dict | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "state", np.asarray(self.state, dtype=complex).ravel())
-        object.__setattr__(self, "povms1", tuple(self.povms1))
-        object.__setattr__(self, "povms2", tuple(self.povms2))
+        object.__setattr__(self, "M", _operators(self.M, 4))
+        object.__setattr__(self, "N", _operators(self.N, 4))
 
     def state_matrix(self):
         return self.state.reshape(self.d1, self.d2)
 
     @property
-    def projective(self):
-        return all(p.projective for p in self.povms1 + self.povms2)
+    def povms1(self):
+        """The first prover's measurements as ``Povm`` views over ``M``."""
+        return tuple(Povm(m, self.projective) for m in self.M)
+
+    @property
+    def povms2(self):
+        """The second prover's measurements as ``Povm`` views over ``N``."""
+        return tuple(Povm(n, self.projective) for n in self.N)
 
 
 def validate_strategy(s):
-    report = []
     if len(s.state) != s.d1 * s.d2:
-        report.append("state dimension does not match d1*d2")
-        return report
+        return ["state dimension does not match d1*d2"]
+    report = []
     norm = np.linalg.norm(s.state)
     if abs(norm - 1.0) > HERMITIAN_TOL:
         report.append(f"state norm {norm!r} is not 1 within {HERMITIAN_TOL}")
-    for which, povms, d in (("prover 1", s.povms1, s.d1), ("prover 2", s.povms2, s.d2)):
-        for q, p in enumerate(povms):
-            if p.dim != d:
-                report.append(f"{which} POVM {q} has dimension {p.dim}, expected {d}")
-                continue
-            for msg in validate_povm(p):
-                report.append(f"{which} question {q}: {msg}")
+    for which, stack, d in (("prover 1", s.M, s.d1), ("prover 2", s.N, s.d2)):
+        if stack.shape[2] != d:
+            report += [f"{which} POVM {q} has dimension {stack.shape[2]}, expected {d}"
+                       for q in range(len(stack))]
+        else:
+            report += [f"{which} question {q}: {msg}"
+                       for q, msg in _stack_problems(stack, s.projective)]
     return report
-
-
-def povm_stack(povms):
-    """The elements of equally shaped POVMs as one ``(Q, A, d, d)`` array."""
-    return np.array([p.elements for p in povms], dtype=complex)
 
 
 def _joint_tables(psi_m, m_arr, n_arr):
@@ -139,8 +171,7 @@ def _joint_tables(psi_m, m_arr, n_arr):
 
 def joint_distribution(s, q1, q2):
     """p(a1, a2) = <psi| M_{q1}^{a1} (x) N_{q2}^{a2} |psi> as a nested tuple."""
-    p, _ = _joint_tables(s.state_matrix(), povm_stack(s.povms1[q1:q1 + 1]),
-                         povm_stack(s.povms2[q2:q2 + 1]))
+    p, _ = _joint_tables(s.state_matrix(), s.M[q1:q1 + 1], s.N[q2:q2 + 1])
     return tuple(tuple(row) for row in p[0, 0].tolist())
 
 
@@ -150,40 +181,43 @@ def to_bipartite_strategy(s, game):
     Each block is renormalized (its raw sum is 1 within 1e-9 already) so the
     result is a valid float-mode ``BipartiteStrategy``.
     """
-    if len(s.povms1) != game.q1_count or len(s.povms2) != game.q2_count:
+    if len(s.M) != game.q1_count or len(s.N) != game.q2_count:
         raise DimensionError("strategy question counts do not match the game")
-    if any(len(p) != game.a1_count for p in s.povms1) or \
-            any(len(p) != game.a2_count for p in s.povms2):
+    if s.M.shape[1] != game.a1_count or s.N.shape[1] != game.a2_count:
         raise DimensionError("strategy answer counts do not match the game")
-    p, totals = _joint_tables(s.state_matrix(), povm_stack(s.povms1),
-                              povm_stack(s.povms2))
+    p, totals = _joint_tables(s.state_matrix(), s.M, s.N)
     return BipartiteStrategy(game.q1_count, game.q2_count, game.a1_count,
                              game.a2_count, p / totals[:, :, None, None], scalars.FLOAT)
 
 
 def psd_sqrt(op, tol=PSD_TOL):
-    """Positive square root; eigenvalues in [-tol, 0] are clamped to 0."""
+    """Positive square root of a matrix, or of each matrix of a
+    ``(..., d, d)`` stack; eigenvalues in [-tol, 0] are clamped to 0."""
     op = np.asarray(op, dtype=complex)
-    if not is_hermitian(op):
+    if np.max(np.abs(op - _dagger(op))) > HERMITIAN_TOL:
         raise ValueError("psd_sqrt requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh((op + op.conj().T) / 2)
+    vals, vecs = np.linalg.eigh((op + _dagger(op)) / 2)
     if vals.min() < -tol:
         raise ValueError(f"matrix has eigenvalue {vals.min()} below -{tol}")
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return (root + root.conj().T) / 2
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dagger(vecs)
+    return (root + _dagger(root)) / 2
 
 
 def pure_state_trace_distance(phi, psi):
-    """sqrt(1 - |<phi|psi>|^2) for unit vectors."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    psi = np.asarray(psi, dtype=complex).ravel()
+    """sqrt(1 - |<phi|psi>|^2) for unit vectors along the last axis: a float
+    for two vectors, an array of distances for two equally shaped stacks."""
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
     if phi.shape != psi.shape:
         raise DimensionError("states have different dimensions")
     for v in (phi, psi):
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(v)!r} is not 1 within {UNIT_TOL}")
-    overlap = abs(np.vdot(phi, psi)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))
+        norms = np.linalg.norm(v, axis=-1)
+        off = np.abs(norms - 1.0) > UNIT_TOL
+        if off.any():
+            raise ValueError(f"state norm {norms[off][0]!r} is not 1 within {UNIT_TOL}")
+    overlap = np.abs(np.einsum("...i,...i->...", phi.conj(), psi)) ** 2
+    dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def symmetrize_second_prover(s, game):
@@ -199,41 +233,28 @@ def symmetrize_second_prover(s, game):
     pairs = meta.get("pairs")
     if pairs is None:
         raise DimensionError("game does not carry dummy-oracularization pair metadata")
-    if len(pairs) != len(s.povms2):
+    if len(pairs) != len(s.N):
         raise DimensionError("pair list does not match the strategy")
-    alphabet = meta["alphabet"]
+    a = meta["alphabet"]
 
-    eye2 = np.eye(2, dtype=complex)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
+    # (1, 1, 2, 2) factors, so np.kron pairs each element of a stack with them
+    eye2 = np.eye(2, dtype=complex)[None, None]
+    p0 = np.diag([1.0, 0.0]).astype(complex)[None, None]
+    p1 = np.diag([0.0, 1.0]).astype(complex)[None, None]
     epr = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
     new_state = np.kron(s.state_matrix(), epr).ravel()
-    new_povms1 = tuple(
-        Povm(tuple(np.kron(e, eye2) for e in p.elements), p.projective)
-        for p in s.povms1)
-
-    new_povms2 = []
-    for pair, p in zip(pairs, s.povms2):
-        u, v = pair
-        if u != v:
-            new_povms2.append(Povm(tuple(np.kron(e, eye2) for e in p.elements),
-                                   p.projective))
-            continue
-        elems = []
-        for aidx in range(len(p)):
-            c1, c2 = decode_tuple(aidx, alphabet, 2)
-            if c1 != c2:
-                elems.append(np.zeros((p.dim * 2, p.dim * 2), dtype=complex))
-                continue
-            first = sum(p.elements[encode_tuple((c1, b), alphabet)]
-                        for b in range(alphabet))
-            second = sum(p.elements[encode_tuple((b, c1), alphabet)]
-                         for b in range(alphabet))
-            elems.append(np.kron(first, p0) + np.kron(second, p1))
-        new_povms2.append(Povm(tuple(elems), p.projective))
-    return QuantumStrategy(s.d1 * 2, s.d2 * 2, new_state, new_povms1,
-                           tuple(new_povms2), s.meta)
+    # on an equal pair, answer (c, c) repeats the old answers (c, *) on coin
+    # 0 and (*, c) on coin 1, and answers (c, c') with c != c' never occur
+    n = s.N.reshape((len(pairs), a, a) + s.N.shape[2:])
+    merged = np.kron(n.sum(axis=2), p0) + np.kron(n.sum(axis=1), p1)  # [pair, c]
+    merged = np.eye(a)[:, :, None, None] * merged[:, :, None]  # [pair, c, c']
+    pairs = np.array(pairs)
+    new_n = np.where((pairs[:, 0] == pairs[:, 1])[:, None, None, None],
+                     merged.reshape(s.N.shape[:2] + merged.shape[3:]),
+                     np.kron(s.N, eye2))
+    return QuantumStrategy(s.d1 * 2, s.d2 * 2, new_state, np.kron(s.M, eye2), new_n,
+                           s.projective, s.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -253,36 +274,28 @@ def random_unitary(rng, dim):
 
 def random_pvm(rng, dim, outcomes):
     """Random projective measurement: a Haar-ish basis split round-robin."""
-    u = random_unitary(rng, dim)
-    elems = [np.zeros((dim, dim), dtype=complex) for _ in range(outcomes)]
-    for col in range(dim):
-        v = u[:, col:col + 1]
-        elems[col % outcomes] += v @ v.conj().T
-    return Povm(tuple(elems), projective=True)
+    cols = random_unitary(rng, dim).T[:, :, None]
+    elems = np.zeros((outcomes, dim, dim), dtype=complex)
+    np.add.at(elems, np.arange(dim) % outcomes, cols @ _dagger(cols))
+    return Povm(elems, projective=True)
 
 
 def random_strategy(rng, game, d1, d2):
     """Seeded random projective strategy shaped for ``game``."""
-    povms1 = tuple(random_pvm(rng, d1, game.a1_count) for _ in range(game.q1_count))
-    povms2 = tuple(random_pvm(rng, d2, game.a2_count) for _ in range(game.q2_count))
-    return QuantumStrategy(d1, d2, random_state(rng, d1 * d2), povms1, povms2)
+    m = [random_pvm(rng, d1, game.a1_count).elements for _ in range(game.q1_count)]
+    n = [random_pvm(rng, d2, game.a2_count).elements for _ in range(game.q2_count)]
+    return QuantumStrategy(d1, d2, random_state(rng, d1 * d2), m, n, projective=True)
 
 
 def deterministic_strategy(det, d1, d2, a1_count, a2_count):
     """Embed a deterministic strategy: the fixed answer's element is I."""
-    povms1 = []
-    for q1 in range(len(det.f1)):
-        elems = [np.eye(d1, dtype=complex) if a == det.f1[q1]
-                 else np.zeros((d1, d1), dtype=complex) for a in range(a1_count)]
-        povms1.append(Povm(tuple(elems), projective=True))
-    povms2 = []
-    for q2 in range(len(det.f2)):
-        elems = [np.eye(d2, dtype=complex) if a == det.f2[q2]
-                 else np.zeros((d2, d2), dtype=complex) for a in range(a2_count)]
-        povms2.append(Povm(tuple(elems), projective=True))
+    m = np.zeros((len(det.f1), a1_count, d1, d1), dtype=complex)
+    m[np.arange(len(det.f1)), np.array(det.f1, dtype=int)] = np.eye(d1)
+    n = np.zeros((len(det.f2), a2_count, d2, d2), dtype=complex)
+    n[np.arange(len(det.f2)), np.array(det.f2, dtype=int)] = np.eye(d2)
     state = np.zeros(d1 * d2, dtype=complex)
     state[0] = 1.0
-    return QuantumStrategy(d1, d2, state, tuple(povms1), tuple(povms2))
+    return QuantumStrategy(d1, d2, state, m, n, projective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +312,7 @@ def catalog_magic_square():
     entangled state.
     """
     from .catalog import magic_square_cells, magic_square_game
+    from .indexing import digit_table
 
     game = magic_square_game()
     eye = np.eye(2, dtype=complex)
@@ -309,37 +323,21 @@ def catalog_magic_square():
     # 3x3 square of two-qubit observables: rows and columns are commuting
     # triples, every row multiplies to +I and every column to -I.  Outcome
     # bit b corresponds to eigenvalue (-1)^b.
-    square = [
+    square = np.array([
         [-np.kron(eye, sz), -np.kron(sz, eye), np.kron(sz, sz)],
         [np.kron(sx, eye), np.kron(eye, sx), np.kron(sx, sx)],
         [np.kron(sx, sz), np.kron(sz, sx), np.kron(sy, sy)],
-    ]
+    ]).reshape(9, 4, 4)
     eye4 = np.eye(4, dtype=complex)
 
-    def bits(a):
-        return ((a >> 2) & 1, (a >> 1) & 1, a & 1)
-
-    povms1 = []
-    for c in range(6):
-        want_parity = 0 if c < 3 else 1
-        obs = [square[cell // 3][cell % 3] for cell in magic_square_cells(c)]
-        elems = []
-        for a in range(8):
-            b = bits(a)
-            if sum(b) % 2 == want_parity:
-                m = eye4
-                for k in range(3):
-                    m = m @ (eye4 + (-1) ** b[k] * obs[k]) / 2
-                elems.append(m)
-            else:
-                elems.append(np.zeros((4, 4), dtype=complex))
-        povms1.append(Povm(tuple(elems), projective=True))
-
-    povms2 = []
-    for cell in range(9):
-        o = square[cell // 3][cell % 3].T
-        povms2.append(Povm(((eye4 + o) / 2, (eye4 - o) / 2), projective=True))
-
+    # constraint c (rows 0-2, then columns) answers three bits of parity 0
+    # for a row and 1 for a column; the element of bits b is the product of
+    # the three cells' eigenprojectors (I + (-1)^b_k O_k) / 2
+    bits = digit_table(2, 3)
+    obs = square[[magic_square_cells(c) for c in range(6)]]  # (6, 3, 4, 4)
+    f = (eye4 + (1 - 2 * bits)[:, :, None, None] * obs[:, None]) / 2  # [c, a, k]
+    parity_ok = bits.sum(axis=1) % 2 == (np.arange(6) >= 3)[:, None]
+    m = np.where(parity_ok[:, :, None, None], f[:, :, 0] @ f[:, :, 1] @ f[:, :, 2], 0)
+    n = (eye4 + np.array([1, -1])[:, None, None] * square.swapaxes(1, 2)[:, None]) / 2
     state = np.eye(4, dtype=complex).ravel() / 2.0
-    strategy = QuantumStrategy(4, 4, state, tuple(povms1), tuple(povms2))
-    return game, strategy
+    return game, QuantumStrategy(4, 4, state, m, n, projective=True)

@@ -36,7 +36,7 @@ from .games import (
     is_no_signaling,
     pcp_triple_distribution,
 )
-from .indexing import PrefixIndex, decode_tuple, digit_table, encode_tuple, iter_tuples
+from .indexing import PrefixIndex, decode_tuple, digit_table, encode_tuple
 from .lp import VerificationError
 from .transforms import pcp_question_marginal
 
@@ -382,23 +382,24 @@ def verify_ns_claims(tables, hybrids, lp_optimal=False):
 @dataclass(frozen=True)
 class ComRoundingTables:
     """Averaged measurements and distance tables of a projective strategy
-    for a dummy-oracularized PCP game, in descending-probability labels."""
+    for a dummy-oracularized PCP game, in descending-probability labels;
+    triple rows ``t`` follow ``game_sorted.triples``."""
 
     game_sorted: PcpGame  # float mode, positions relabeled
     gprime: object
     strategy: quantum.QuantumStrategy
-    order: tuple  # order[new label] = index into the original position list
-    positions: tuple  # original position values, new-label order
-    marginal: tuple  # probe marginal per new label (descending)
-    Mbar: tuple  # [new label][a] -> operator on factor 1
-    Nbar: tuple  # [new label][a] -> operator on factor 2
-    X: tuple  # psd sqrt of Mbar
-    Y: tuple  # psd sqrt of Nbar
-    triple_ops: dict  # sorted-label triple -> (A^3, d, d) array of factor-1 PVM elements
-    d1: tuple
-    d2: tuple  # [q][qtilde]
-    d3: dict  # (sorted-label triple, coordinate) -> float
-    d4: tuple  # [q1][q2]
+    order: np.ndarray  # order[new label] = index into the original position list
+    positions: np.ndarray  # original position values, new-label order
+    marginal: np.ndarray  # (Q,) probe marginal per new label (descending)
+    Mbar: np.ndarray  # (Q, A, d1, d1): averaged measurement on factor 1
+    Nbar: np.ndarray  # (Q, A, d2, d2): averaged measurement on factor 2
+    X: np.ndarray  # psd sqrt of Mbar
+    Y: np.ndarray  # psd sqrt of Nbar
+    triple_ops: np.ndarray  # (T, A^3, d1, d1): factor-1 PVM of each sorted triple
+    d1: np.ndarray  # (Q,)
+    d2: np.ndarray  # (Q, Q): [q, qtilde]
+    d3: np.ndarray  # (T, 3): [triple, coordinate]
+    d4: np.ndarray  # (Q, Q): [q1, q2]
     eps: float
     eps_cons: float
     eps_sim: float
@@ -409,11 +410,26 @@ class ComRoundingTables:
         return len(self.marginal)
 
 
-def _stack_distance(blocks_a, blocks_b):
-    """Trace distance of sum_i |i> (x) v_i vectors given matrix blocks."""
-    va = np.concatenate([b.ravel() for b in blocks_a])
-    vb = np.concatenate([b.ravel() for b in blocks_b])
-    return quantum.pure_state_trace_distance(va, vb)
+def _coordinate_marginals(ops, a, k):
+    """``out[j, c, x]``: the sum of measurement ``j``'s elements whose answer,
+    read as ``k`` base-``a`` digits, has digit ``c`` equal to ``x``."""
+    digits = ops.reshape(ops.shape[:1] + (a,) * k + ops.shape[2:])
+    return np.stack([digits.sum(axis=tuple(1 + o for o in range(k) if o != c))
+                     for c in range(k)], axis=1)
+
+
+def _expect(psi_m, m_ops, n_ops):
+    """<psi| M (x) N |psi> for broadcast stacks of M (factor 1) and N (factor 2)."""
+    out = m_ops @ psi_m @ n_ops.swapaxes(-1, -2)
+    return np.einsum("ij,...ij->...", psi_m.conj(), out).real
+
+
+def _stack_distance(left, right, batch):
+    """Trace distances between the states sum_x |x> (x) v_x whose blocks v_x
+    fill every axis after the first ``batch`` (the two sides broadcast)."""
+    left, right = np.broadcast_arrays(left, right)
+    shape = left.shape[:batch] + (-1,)
+    return quantum.pure_state_trace_distance(left.reshape(shape), right.reshape(shape))
 
 
 def com_decompose(game, gprime, strategy):
@@ -427,166 +443,90 @@ def com_decompose(game, gprime, strategy):
         raise ValueError(f"invalid strategy: {bad[0]}")
     a = meta["alphabet"]
     positions_orig = [int(p) for p in meta["positions"]]
-    triples_orig = [tuple(t) for t in meta["triples"]]
-    pairs = [tuple(p) for p in meta["pairs"]]
-    pair_idx = {p: j for j, p in enumerate(pairs)}
-    if len(strategy.povms1) != len(triples_orig) or len(strategy.povms2) != len(pairs):
+    triples_orig = np.array(meta["triples"], dtype=int).reshape(-1, 3)
+    pairs = np.array(meta["pairs"], dtype=int).reshape(-1, 2)
+    if len(strategy.M) != len(triples_orig) or len(strategy.N) != len(pairs):
         raise ValueError("strategy question counts do not match the game")
 
     # symmetrization precondition: equal-pair measurements answer diagonally
-    for (u, v), povm in zip(pairs, strategy.povms2):
-        if u != v:
-            continue
-        for aidx in range(a * a):
-            b1, b2 = decode_tuple(aidx, a, 2)
-            if b1 != b2 and np.max(np.abs(povm.elements[aidx])) > 1e-9:
-                raise ValueError(
-                    f"strategy is not symmetrized: N[{u},{v}] has off-diagonal mass")
+    n_ops = strategy.N.reshape((len(pairs), a, a) + strategy.N.shape[2:])
+    off = ((pairs[:, 0] == pairs[:, 1])[:, None, None] & ~np.eye(a, dtype=bool)
+           & (np.abs(n_ops).max(axis=(-2, -1)) > 1e-9))
+    if off.any():
+        u, v = pairs[np.argwhere(off)[0, 0]]
+        raise ValueError(
+            f"strategy is not symmetrized: N[{u},{v}] has off-diagonal mass")
 
     gf = game.to_float()
     sup = gf.pi > 0
-    if gf.triples[sup].tolist() != [list(t) for t in triples_orig]:
+    if gf.triples[sup].tolist() != triples_orig.tolist():
         raise ValueError("the game's support triples do not match the oracularized game")
-    pi_t = gf.pi[sup].tolist()
+    pi_t = gf.pi[sup]
     marg_exact = pcp_question_marginal(game)
     order = sorted(range(len(positions_orig)),
                    key=lambda i: (-marg_exact[positions_orig[i]], positions_orig[i]))
-    positions = tuple(positions_orig[i] for i in order)
+    positions = np.array([positions_orig[i] for i in order], dtype=int)
     qn = len(positions)
-    marginal = tuple(float(marg_exact[p]) for p in positions)
-
-    d1_dim, d2_dim = strategy.d1, strategy.d2
+    marginal = np.array([float(marg_exact[p]) for p in positions.tolist()])
     psi_m = strategy.state_matrix()
 
-    def n_marginal(q, qt):
-        """Marginal of the pair measurement on q's coordinate (original labels)."""
-        pair = (q, qt) if q <= qt else (qt, q)
-        povm = strategy.povms2[pair_idx[pair]]
-        coord = 0 if q <= qt else 1
-        out = [np.zeros((d2_dim, d2_dim), dtype=complex) for _ in range(a)]
-        for aidx in range(a * a):
-            b = decode_tuple(aidx, a, 2)
-            out[b[coord]] += povm.elements[aidx]
-        return out
+    # averaged POVMs per new label: Mbar[q] weighs each triple's marginal on
+    # q's coordinate by pi(t) / (3 marg(q)); Nbar[q] weighs the pair
+    # measurement's marginal on q's coordinate by marg(qtilde)
+    hit = triples_orig[None] == positions[:, None, None]  # [q, t, c]
+    weight = hit * (pi_t[None, :, None] / marginal[:, None, None] / 3.0)
+    Mbar = np.einsum("qtc,tcxij->qxij", weight,
+                     _coordinate_marginals(strategy.M, a, 3))
+    pair_of = {p: j for j, p in enumerate(map(tuple, pairs.tolist()))}
+    pair = [[pair_of[min(u, v), max(u, v)] for v in positions.tolist()]
+            for u in positions.tolist()]
+    side = (positions[:, None] > positions[None, :]).astype(int)
+    n_marg = _coordinate_marginals(strategy.N, a, 2)[np.array(pair), side]  # [q, qt, x]
+    Nbar = np.einsum("j,qjxkl->qxkl", marginal, n_marg)
+    X = quantum.psd_sqrt(Mbar)
+    Y = quantum.psd_sqrt(Nbar)
 
-    def m_marginal(ti, coord):
-        """Marginal of triple ti's measurement on one coordinate."""
-        povm = strategy.povms1[ti]
-        out = [np.zeros((d1_dim, d1_dim), dtype=complex) for _ in range(a)]
-        for aidx in range(a**3):
-            t = decode_tuple(aidx, a, 3)
-            out[t[coord]] += povm.elements[aidx]
-        return out
-
-    # averaged POVMs per position, original labels first
-    mbar_orig, nbar_orig = {}, {}
-    for q in positions_orig:
-        acc_m = [np.zeros((d1_dim, d1_dim), dtype=complex) for _ in range(a)]
-        for ti, t in enumerate(triples_orig):
-            if q in t:
-                w = pi_t[ti] / float(marg_exact[q]) / 3.0
-                for x, e in zip(acc_m, m_marginal(ti, t.index(q))):
-                    x += w * e
-        mbar_orig[q] = acc_m
-        acc_n = [np.zeros((d2_dim, d2_dim), dtype=complex) for _ in range(a)]
-        for qt in positions_orig:
-            w = float(marg_exact[qt])
-            for x, e in zip(acc_n, n_marginal(q, qt)):
-                x += w * e
-        nbar_orig[q] = acc_n
-
-    Mbar = tuple(tuple(mbar_orig[p]) for p in positions)
-    Nbar = tuple(tuple(nbar_orig[p]) for p in positions)
-    X = tuple(tuple(quantum.psd_sqrt(e) for e in row) for row in Mbar)
-    Y = tuple(tuple(quantum.psd_sqrt(e) for e in row) for row in Nbar)
-
-    def expect(m_op, n_op):
-        return float(np.real(np.vdot(psi_m, m_op @ psi_m @ n_op.T)))
-
-    eps_cons = 1.0 - sum(
-        marginal[q] * sum(expect(Mbar[q][x], Nbar[q][x]) for x in range(a))
-        for q in range(qn))
+    eps_cons = 1.0 - marginal @ _expect(psi_m, Mbar, Nbar).sum(axis=1)
 
     # relabel the game and the per-triple measurements: new coordinate c of
     # triple t reads the original coordinate coord[t][c], and new answer aidx
     # is the original answer oidx[t][aidx]
-    old_label = {p: i for i, p in enumerate(positions)}  # original value -> new label
-    labels = np.array([[old_label[q] for q in t] for t in triples_orig])
+    new_label = np.empty(game.positions, dtype=int)
+    new_label[positions] = np.arange(qn)
+    labels = new_label[triples_orig]
     coord = np.argsort(labels, axis=1)
     new = np.take_along_axis(labels, coord, axis=1)
     oidx = (digit_table(a, 3)[:, np.argsort(coord, axis=1)] @ np.array([a * a, a, 1])).T
-    triple_ops = {tuple(t): np.array(povm.elements)[o]
-                  for t, povm, o in zip(new.tolist(), strategy.povms1, oidx)}
     rank = np.lexsort(new.T[::-1])
-    game_sorted = PcpGame(qn, a, new[rank], np.array(pi_t)[rank],
-                          gf.R[sup][np.arange(len(new))[:, None], oidx][rank],
+    rows = np.arange(len(new))[:, None]
+    triple_ops = strategy.M[rows, oidx][rank]
+    game_sorted = PcpGame(qn, a, new[rank], pi_t[rank], gf.R[sup][rows, oidx][rank],
                           scalars.FLOAT, meta={"kind": "relabeled_pcp",
-                                               "positions": list(positions)})
-    relabeled = list(zip(map(tuple, game_sorted.triples.tolist()),
-                         game_sorted.pi.tolist(), game_sorted.R.tolist()))
+                                               "positions": positions.tolist()})
+    tri, pi_s, r_s = game_sorted.triples, game_sorted.pi, game_sorted.R
 
-    eps_sim = 1.0
-    for t, p, src in relabeled:
-        eps_sim -= p * sum(
-            float(np.real(np.vdot(psi_m, triple_ops[t][aidx] @ psi_m))) * src[aidx]
-            for aidx in range(a**3) if src[aidx])
-
-    win = 0.0
-    for t, p, src in relabeled:
-        for c in range(3):
-            nb = Nbar[t[c]]
-            for aidx in range(a**3):
-                if src[aidx]:
-                    b = decode_tuple(aidx, a, 3)
-                    win += (p / 3.0) * src[aidx] * expect(triple_ops[t][aidx], nb[b[c]])
-    eps = 1.0 - win
+    direct = np.einsum("ij,taij->ta", psi_m.conj(), triple_ops @ psi_m).real
+    eps_sim = 1.0 - pi_s @ (direct * r_s).sum(axis=1)
+    # coordinate c of answer x is checked against Nbar of the triple's c-th
+    # position at digit c of x
+    agree = _expect(psi_m, triple_ops[:, None],
+                    Nbar[tri[:, :, None], digit_table(a, 3).T[None]])  # [t, c, x]
+    eps = 1.0 - np.einsum("t,tx,tcx->", pi_s / 3.0, r_s, agree)
 
     # distance tables (sorted labels); X acts on factor 1, Y/N on factor 2
-    d1 = []
-    for q in range(qn):
-        left = [X[q][x] @ psi_m for x in range(a)]
-        right = [psi_m @ Y[q][x].T for x in range(a)]
-        d1.append(_stack_distance(left, right))
-    d1 = tuple(d1)
+    x_psi = X @ psi_m
+    d1 = _stack_distance(x_psi, psi_m @ Y.swapaxes(-1, -2), 1)
+    d2 = _stack_distance(x_psi[:, None], psi_m @ n_marg.swapaxes(-1, -2), 2)
+    d3 = _stack_distance(_coordinate_marginals(triple_ops, a, 3) @ psi_m,
+                         psi_m @ Y[tri].swapaxes(-1, -2), 2)
+    # xx[q, x, q', x'] = X_q^x X_q'^x' |psi>; d4 compares the two orders
+    xx = X[:, :, None, None] @ X[None, None] @ psi_m
+    d4 = _stack_distance(xx.transpose(2, 0, 3, 1, 4, 5), xx.transpose(0, 2, 1, 3, 4, 5), 2)
 
-    d2 = []
-    for q in range(qn):
-        row = []
-        left = [X[q][x] @ psi_m for x in range(a)]
-        for qt in range(qn):
-            nmarg = n_marginal(positions[q], positions[qt])
-            right = [psi_m @ nmarg[x].T for x in range(a)]
-            row.append(_stack_distance(left, right))
-        d2.append(tuple(row))
-    d2 = tuple(d2)
-
-    d3 = {}
-    for t in triple_ops:
-        for c in range(3):
-            q = t[c]
-            marg = [np.zeros((d1_dim, d1_dim), dtype=complex) for _ in range(a)]
-            for aidx in range(a**3):
-                b = decode_tuple(aidx, a, 3)
-                marg[b[c]] += triple_ops[t][aidx]
-            left = [marg[x] @ psi_m for x in range(a)]
-            right = [psi_m @ Y[q][x].T for x in range(a)]
-            d3[(t, c)] = _stack_distance(left, right)
-
-    d4 = []
-    for q1 in range(qn):
-        row = []
-        for q2 in range(qn):
-            left = [X[q2][x2] @ X[q1][x1] @ psi_m
-                    for x1 in range(a) for x2 in range(a)]
-            right = [X[q1][x1] @ X[q2][x2] @ psi_m
-                     for x1 in range(a) for x2 in range(a)]
-            row.append(_stack_distance(left, right))
-        d4.append(tuple(row))
-    d4 = tuple(d4)
-
-    return ComRoundingTables(game_sorted, gprime, strategy, tuple(order),
+    return ComRoundingTables(game_sorted, gprime, strategy, np.array(order),
                              positions, marginal, Mbar, Nbar, X, Y, triple_ops,
-                             d1, d2, d3, d4, eps, eps_cons, eps_sim, a)
+                             d1, d2, d3, d4, float(eps), float(eps_cons),
+                             float(eps_sim), a)
 
 
 @dataclass(frozen=True)
@@ -594,8 +534,18 @@ class RoundedProof:
     """Rounded proof distribution with its pre-normalization deficit."""
 
     dist: PcpProofDistribution
-    raw: tuple
+    raw: np.ndarray  # (A^Q,) masses before normalization
     deficit: float
+
+
+def _sequential_masses(x_ops, psi_m, seq):
+    """theta[z] = || X[seq[-1]]^z[-1] ... X[seq[0]]^z[0] psi ||^2 for every
+    string z over the alphabet, lexicographic in z; one batched product per
+    entry of ``seq``."""
+    states = psi_m[None]
+    for q in seq:
+        states = (x_ops[q][None] @ states[:, None]).reshape((-1,) + psi_m.shape)
+    return np.einsum("zij,zij->z", states.conj(), states).real
 
 
 def round_com(tables):
@@ -607,33 +557,22 @@ def round_com(tables):
     returned distribution is renormalized and the deficit reported.
     """
     a, qn = tables.alphabet, tables.num_positions
-    check_table_size(a**qn, "round_com proof table")
     psi_m = tables.strategy.state_matrix()
-    raw = [0.0] * a**qn
-
-    def descend(q, prefix_idx, state):
-        if q == qn:
-            raw[prefix_idx] = float(np.real(np.vdot(state, state)))
-            return
-        for x in range(a):
-            descend(q + 1, prefix_idx * a + x, tables.X[q][x] @ state)
-
-    descend(0, 0, psi_m)
-    total = sum(raw)
-    dist = PcpProofDistribution(qn, a, tuple(v / total for v in raw), scalars.FLOAT)
-    return RoundedProof(dist, tuple(raw), 1.0 - total)
+    check_table_size(a**qn * psi_m.size, "round_com state stack")
+    raw = _sequential_masses(tables.X, psi_m, range(qn))
+    total = float(raw.sum())
+    dist = PcpProofDistribution(qn, a, raw / total, scalars.FLOAT)
+    return RoundedProof(dist, raw, 1.0 - total)
 
 
-def aggregate_distance_bound(tables, triple):
-    """The per-triple bound d(q1,q2,q3): moving costs below each coordinate
-    plus its own averaging and simulation distances."""
-    total = 0.0
-    for c in range(3):
-        q = triple[c]
-        total += 2 * sum(tables.d1[qp] for qp in range(q))
-        total += sum(tables.d4[q][qp] for qp in range(q))
-        total += tables.d1[q] + tables.d3[(triple, c)]
-    return total
+def aggregate_distance_bound(tables):
+    """The per-triple bounds d(q1,q2,q3), one per row of
+    ``tables.game_sorted.triples``: for each coordinate q, the moving costs
+    below it, 2 sum_{q'<q} d1(q') + sum_{q'<q} d4(q, q'), plus its own
+    averaging and simulation distances d1(q) and d3."""
+    before = np.tri(tables.num_positions, k=-1)  # before[q, q'] = [q' < q]
+    cost = 2 * before @ tables.d1 + (before * tables.d4).sum(axis=1) + tables.d1
+    return cost[tables.game_sorted.triples].sum(axis=1) + tables.d3.sum(axis=1)
 
 
 def verify_com_claims(game, tables, rounded):
@@ -648,38 +587,27 @@ def verify_com_claims(game, tables, rounded):
     a, qn = tables.alphabet, tables.num_positions
     tol = FLOAT_CLAIM_TOL
     m = tables.marginal
-    triples = list(zip(map(tuple, tables.game_sorted.triples.tolist()),
-                       tables.game_sorted.pi.tolist()))
+    tri, pi = tables.game_sorted.triples, tables.game_sorted.pi
     rows = [
         InequalityRow("claim-bound-d[E d1^2 <= 2 eps_cons]",
-                      sum(m[q] * tables.d1[q] ** 2 for q in range(qn)),
-                      2 * tables.eps_cons, tol),
+                      float(m @ tables.d1**2), 2 * tables.eps_cons, tol),
         InequalityRow("claim-bound-d[E d2^2 <= 2 eps_cons]",
-                      sum(m[q] * m[qt] * tables.d2[q][qt] ** 2
-                          for q in range(qn) for qt in range(qn)),
-                      2 * tables.eps_cons, tol),
+                      float(m @ tables.d2**2 @ m), 2 * tables.eps_cons, tol),
         InequalityRow("claim-bound-d[E d3^2 <= 2 eps_cons]",
-                      sum(p * tables.d3[(t, c)] ** 2 / 3.0
-                          for t, p in triples for c in range(3)),
+                      float(pi @ (tables.d3**2).sum(axis=1) / 3.0),
                       2 * tables.eps_cons, tol),
         InequalityRow("claim-bound-d[E d4^2 <= 32 eps_cons]",
-                      sum(m[q1] * m[q2] * tables.d4[q1][q2] ** 2
-                          for q1 in range(qn) for q2 in range(qn)),
-                      32 * tables.eps_cons, tol),
+                      float(m @ tables.d4**2 @ m), 32 * tables.eps_cons, tol),
     ]
 
-    psi_m = tables.strategy.state_matrix()
     raw = PcpProofDistribution(qn, a, rounded.raw, scalars.FLOAT)
-    for t, p in triples:
-        if not p:
-            continue
-        induced = pcp_triple_distribution(raw, t)
-        direct = [float(np.real(np.vdot(tables.triple_ops[t][aidx] @ psi_m,
-                                        tables.triple_ops[t][aidx] @ psi_m)))
-                  for aidx in range(a**3)]
-        sd = statistical_difference(induced, direct)
-        rows.append(InequalityRow(f"aggregate-d-bound[triple={t}]", sd,
-                                  aggregate_distance_bound(tables, t), tol))
+    induced = pcp_triple_distribution(raw, tri)
+    out = tables.triple_ops @ tables.strategy.state_matrix()
+    direct = np.einsum("taij,taij->ta", out.conj(), out).real
+    sd = np.abs(induced - direct).sum(axis=1) / 2
+    rows += [InequalityRow(f"aggregate-d-bound[triple={tuple(t)}]", lhs, rhs, tol)
+             for t, lhs, rhs in zip(tri.tolist(), sd.tolist(),
+                                    aggregate_distance_bound(tables).tolist())]
 
     w = float(pcp_value(game).value)
     rows.append(InequalityRow(
@@ -701,20 +629,16 @@ def verify_lemma_distance(m_povm, n_povm, phi):
         problems = quantum.validate_povm(povm)
         if problems:
             raise ValueError(f"invalid POVM {name}: {problems[0]}")
-    for me in m_povm.elements:
-        for ne in n_povm.elements:
-            if np.max(np.abs(me @ ne - ne @ me)) > 1e-9:
-                raise ValueError("POVMs do not commute")
+    m, n = m_povm.elements, n_povm.elements
+    if np.max(np.abs(m[:, None] @ n[None] - n[None] @ m[:, None])) > 1e-9:
+        raise ValueError("POVMs do not commute")
     phi = np.asarray(phi, dtype=complex).ravel()
 
-    roots_m = [quantum.psd_sqrt(e) for e in m_povm.elements]
-    roots_n = [quantum.psd_sqrt(e) for e in n_povm.elements]
-    psi = np.concatenate([r @ phi for r in roots_m])
-    xi = np.concatenate([r @ phi for r in roots_n])
+    psi = (quantum.psd_sqrt(m) @ phi).ravel()
+    xi = (quantum.psd_sqrt(n) @ phi).ravel()
     d2 = quantum.pure_state_trace_distance(psi, xi) ** 2
     gap = 2.0 * (1.0 - float(np.real(np.vdot(psi, xi))))
-    p = 1.0 - sum(float(np.real(np.vdot(phi, me @ ne @ phi)))
-                  for me, ne in zip(m_povm.elements, n_povm.elements))
+    p = 1.0 - float(np.einsum("i,ai->", phi.conj(), m @ n @ phi).real)
     chain = (d2, gap, 2.0 * p)
     if not (d2 <= gap + CHAIN_TOL and gap <= 2.0 * p + CHAIN_TOL):
         raise VerificationError(f"distance chain D^2 <= 2(1-<psi|xi>) <= 2p "
@@ -727,29 +651,28 @@ def verify_claim_selection(tables, t_list, i):
     product to act first changes the outcome distribution by at most
     2 sum_{j<i} d1(t_j) + sum_{j<i} d4(t_i, t_j).
 
-    Returns (lhs, rhs) after checking lhs <= rhs + 1e-7.
+    ``t_list`` holds position labels in ``0..Q-1``.  Returns (lhs, rhs)
+    after checking lhs <= rhs + 1e-7.
     """
-    a = tables.alphabet
+    a, qn = tables.alphabet, tables.num_positions
     mm = len(t_list)
     if not 1 <= i <= mm:
         raise ValueError("index out of range")
-    check_table_size(a**mm, "claim-selection enumeration")
+    t = np.array(t_list, dtype=int)
+    outside = (t < 0) | (t >= qn)
+    if outside.any():
+        raise ValueError(f"t_list entry {t[outside][0]} is outside 0..{qn - 1}")
     psi_m = tables.strategy.state_matrix()
+    check_table_size(a**mm * psi_m.size, "claim-selection state stack")
 
-    lhs = 0.0
-    for z in iter_tuples(a, mm):
-        s1 = psi_m
-        for j in range(mm):
-            s1 = tables.X[t_list[j]][z[j]] @ s1
-        s2 = tables.X[t_list[i - 1]][z[i - 1]] @ psi_m
-        for j in range(mm):
-            if j != i - 1:
-                s2 = tables.X[t_list[j]][z[j]] @ s2
-        lhs += abs(float(np.real(np.vdot(s1, s1)))
-                   - float(np.real(np.vdot(s2, s2))))
-    lhs /= 2.0
-    rhs = (2.0 * sum(tables.d1[t_list[j]] for j in range(i - 1))
-           + sum(tables.d4[t_list[i - 1]][t_list[j]] for j in range(i - 1)))
+    in_order = _sequential_masses(tables.X, psi_m, t)
+    # apply t_i first: the masses come out indexed with z_i as the first
+    # digit, which goes back to place i
+    moved = _sequential_masses(tables.X, psi_m, np.roll(t[:i], 1).tolist() + t[i:].tolist())
+    moved = np.moveaxis(moved.reshape((a,) * mm), 0, i - 1).ravel()
+    lhs = float(np.abs(in_order - moved).sum() / 2.0)
+    head = t[:i - 1]
+    rhs = float(2.0 * tables.d1[head].sum() + tables.d4[t[i - 1], head].sum())
     if not lhs <= rhs + FLOAT_CLAIM_TOL:
         raise VerificationError(f"selection move changes the distribution by "
                                 f"{lhs}, over the bound {rhs}")

@@ -64,19 +64,6 @@ def check_mode(mode):
     return mode
 
 
-def coerce(value, mode):
-    """Convert ``value`` to the scalar type of ``mode``, exactly.
-
-    Rational mode accepts ints and Fractions only; silently converting a
-    float would hide precision loss.
-    """
-    if mode == RATIONAL:
-        if isinstance(value, float):
-            raise ModeError(f"float value {value!r} in a rational-mode table")
-        return Fraction(value)
-    return float(value)
-
-
 def scalar_mode(value):
     """Infer the mode of a single scalar."""
     if isinstance(value, (Fraction, int)):

@@ -51,15 +51,6 @@ class OneInThreeFormula:
                 if not 0 <= v < self.num_vars:
                     raise ValueError(f"variable {v} out of range")
 
-    def satisfied_count(self, assignment):
-        """Number of clauses with exactly one true literal."""
-        hit = 0
-        for cl in self.clauses:
-            trues = sum(1 for v, p in cl if bool(assignment[v]) == p)
-            if trues == 1:
-                hit += 1
-        return hit
-
 
 def oracularize_multi_round(game):
     """Oracularize a multi-round game.

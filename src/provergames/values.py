@@ -291,9 +291,7 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
 
     best_val, best_strategy, best_trace, restart_values = -1.0, None, None, []
     for s in starts:
-        m_arr = quantum.povm_stack(s.povms1)
-        n_arr = quantum.povm_stack(s.povms2)
-        psi = s.state
+        m_arr, n_arr, psi = s.M, s.N, s.state
         trace = []
         prev = -1.0
         for _ in range(max_iters):
@@ -321,11 +319,8 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
         if trace[-1] > best_val:
             best_val = trace[-1]
             best_trace = trace
-            povms1 = tuple(quantum.Povm(tuple(m_arr[q]), projective=True)
-                           for q in range(piR.shape[0]))
-            povms2 = tuple(quantum.Povm(tuple(n_arr[q]), projective=True)
-                           for q in range(piR.shape[1]))
-            best_strategy = quantum.QuantumStrategy(d1, d2, psi, povms1, povms2)
+            best_strategy = quantum.QuantumStrategy(d1, d2, psi, m_arr, n_arr,
+                                                    projective=True)
 
     induced = quantum.to_bipartite_strategy(best_strategy, game)
     reported = eval_two_prover(game, induced)

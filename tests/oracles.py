@@ -11,11 +11,54 @@ from fractions import Fraction
 import numpy as np
 
 from provergames import scalars
+from provergames.games import BipartiteStrategy
 from provergames.indexing import PrefixIndex, decode_tuple, encode_tuple, iter_tuples
 from provergames.lp import (
     EQUAL, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, OPTIMAL, STALL_LIMIT, UNBOUNDED,
     LpSolution, VerificationError, _rat,
 )
+
+
+# ---------------------------------------------------------------------------
+# one-tuple-at-a-time accessors of the library's flat tables
+
+
+def q_tuples(game):
+    """A multi-round game's question tuples, in flat-index order."""
+    return iter_tuples(game.q_count, game.rounds)
+
+
+def pi_at(game, qtup):
+    return game.pi[encode_tuple(qtup, game.q_count)]
+
+
+def r_at(game, qtup, atup):
+    n = game.a_count**game.rounds
+    return game.R[encode_tuple(qtup, game.q_count) * n + encode_tuple(atup, game.a_count)]
+
+
+def prefix_tuples(index):
+    """Every tuple of a ``PrefixIndex``, in index order."""
+    for k in range(1, index.max_len + 1):
+        yield from iter_tuples(index.base, k)
+
+
+def prefix_length(index, idx):
+    return len(index.decode(idx))
+
+
+def satisfied_count(formula, assignment):
+    """Number of clauses with exactly one true literal."""
+    return sum(sum(bool(assignment[v]) == p for v, p in cl) == 1
+               for cl in formula.clauses)
+
+
+def embed(det, a1_count, a2_count, mode=scalars.RATIONAL):
+    """A deterministic strategy as a point-mass ``BipartiteStrategy``."""
+    theta = scalars.zeros((len(det.f1), len(det.f2), a1_count, a2_count), mode)
+    theta[det.answer_cells()] = scalars.one(mode)
+    return BipartiteStrategy(len(det.f1), len(det.f2), a1_count, a2_count,
+                             theta, mode)
 
 
 def brute_classical(game):
@@ -41,12 +84,12 @@ def brute_multi_round(game):
     best = None
     for combo in itertools.product(*tables):
         v = scalars.zero(game.mode)
-        for qidx, qtup in enumerate(game.q_tuples()):
+        for qidx, qtup in enumerate(q_tuples(game)):
             if not game.pi[qidx]:
                 continue
             answers = tuple(combo[k][encode_tuple(qtup[: k + 1], nq)]
                             for k in range(r))
-            v += game.pi[qidx] * game.r_at(qtup, answers)
+            v += game.pi[qidx] * r_at(game, qtup, answers)
         if best is None or v > best:
             best = v
     return best
@@ -70,7 +113,7 @@ def best_1in3_fraction(formula):
     """Max fraction of clauses with exactly one true literal."""
     best = Fraction(0)
     for bits in itertools.product((0, 1), repeat=formula.num_vars):
-        best = max(best, Fraction(formula.satisfied_count(bits),
+        best = max(best, Fraction(satisfied_count(formula, bits),
                                   len(formula.clauses)))
     return best
 
@@ -334,19 +377,19 @@ def dense_joint_probability(state, m_op, n_op):
 
 def chsh_optimal_qubit_strategy():
     """The explicit optimal CHSH strategy; evaluates to cos^2(pi/8)."""
-    from provergames.quantum import Povm, QuantumStrategy
+    from provergames.quantum import QuantumStrategy
 
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
 
     def pvm(obs):
-        return Povm(((eye + obs) / 2, (eye - obs) / 2), projective=True)
+        return ((eye + obs) / 2, (eye - obs) / 2)
 
     alice = (pvm(sz), pvm(sx))
     bob = (pvm((sz + sx) / np.sqrt(2)), pvm((sz - sx) / np.sqrt(2)))
     state = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return QuantumStrategy(2, 2, state, alice, bob)
+    return QuantumStrategy(2, 2, state, alice, bob, projective=True)
 
 
 def _naive_split_projector(p_elem, rank, c_diff):
@@ -431,18 +474,18 @@ def naive_parallel_repeat(game, n):
 
 def naive_oracularize_multi_round(game):
     r = game.rounds
-    q1_tuples = [q for q in game.q_tuples() if game.pi_at(q)]
+    q1_tuples = [q for q in q_tuples(game) if pi_at(game, q)]
     prefixes = sorted({q[:k] for k in range(1, r + 1) for q in q1_tuples},
                       key=lambda p: (len(p), p))
     a_index = PrefixIndex(game.a_count, r)
     inv_r = Fraction(1, r) if game.mode == scalars.RATIONAL else 1.0 / r
     zero = scalars.zero(game.mode)
     a2_tuples = [a_index.decode(i) for i in range(len(a_index))]
-    pi = [[game.pi_at(q) * inv_r if q[:len(p)] == p else zero for p in prefixes]
+    pi = [[pi_at(game, q) * inv_r if q[:len(p)] == p else zero for p in prefixes]
           for q in q1_tuples]
     R = []
     for q in q1_tuples:
-        sim = [game.r_at(q, a) for a in iter_tuples(game.a_count, r)]
+        sim = [r_at(game, q, a) for a in iter_tuples(game.a_count, r)]
         row = []
         for p in prefixes:
             k = len(p)
@@ -564,3 +607,89 @@ def naive_classical_value(game):
             if best is None or total > best:
                 best, best_pair = total, (tuple(f1), tuple(f2))
     return best, best_pair
+
+
+# ---------------------------------------------------------------------------
+# per-element references for the commuting-operator rounding: one matrix,
+# one outcome and one string at a time
+
+
+def _naive_distance(blocks_a, blocks_b):
+    """Trace distance of the states sum_x |x> (x) v_x given their blocks."""
+    va = np.concatenate([b.ravel() for b in blocks_a])
+    vb = np.concatenate([b.ravel() for b in blocks_b])
+    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(va, vb)) ** 2)))
+
+
+def naive_com_tables(tables):
+    """``com_decompose``'s d1-d4 and eps, eps_cons, eps_sim recomputed one
+    matrix at a time from its averaged measurements, roots and per-triple
+    operators: d3 as ``[triple row][coordinate]``, the others as lists."""
+    s, a, qn = tables.strategy, tables.alphabet, tables.num_positions
+    psi = s.state_matrix()
+    pos = tables.positions.tolist()
+    pairs = [tuple(p) for p in tables.gprime.meta["pairs"]]
+    X, Y, Mbar, Nbar = tables.X, tables.Y, tables.Mbar, tables.Nbar
+    rows = list(zip(tables.game_sorted.triples.tolist(), tables.game_sorted.pi.tolist(),
+                    tables.game_sorted.R.tolist(), tables.triple_ops))
+
+    def marginal(elems, k, c):  # [x]: the elements whose k-digit answer has digit c = x
+        return [sum(e for aidx, e in enumerate(elems) if decode_tuple(aidx, a, k)[c] == x)
+                for x in range(a)]
+
+    def n_marginal(q, qt):
+        u, v = pos[q], pos[qt]
+        return marginal(s.N[pairs.index((min(u, v), max(u, v)))], 2, 0 if u <= v else 1)
+
+    def expect(m_op, n_op):
+        return float(np.real(np.vdot(psi, m_op @ psi @ n_op.T)))
+
+    def right(n_ops):
+        return [psi @ e.T for e in n_ops]
+
+    def left(q):
+        return [x @ psi for x in X[q]]
+
+    return {
+        "eps_cons": 1.0 - sum(tables.marginal[q] * expect(Mbar[q][x], Nbar[q][x])
+                              for q in range(qn) for x in range(a)),
+        "eps_sim": 1.0 - sum(p * r[aidx] * float(np.real(np.vdot(psi, ops[aidx] @ psi)))
+                             for _, p, r, ops in rows for aidx in range(a**3)),
+        "eps": 1.0 - sum(p / 3.0 * r[aidx]
+                         * expect(ops[aidx], Nbar[t[c]][decode_tuple(aidx, a, 3)[c]])
+                         for t, p, r, ops in rows for aidx in range(a**3) for c in range(3)),
+        "d1": [_naive_distance(left(q), right(Y[q])) for q in range(qn)],
+        "d2": [[_naive_distance(left(q), right(n_marginal(q, qt))) for qt in range(qn)]
+               for q in range(qn)],
+        "d3": [[_naive_distance([m @ psi for m in marginal(ops, 3, c)], right(Y[t[c]]))
+                for c in range(3)] for t, _, _, ops in rows],
+        "d4": [[_naive_distance([X[q2][x2] @ X[q1][x1] @ psi for x1 in range(a) for x2 in range(a)],
+                                [X[q1][x1] @ X[q2][x2] @ psi for x1 in range(a) for x2 in range(a)])
+                for q2 in range(qn)] for q1 in range(qn)],
+    }
+
+
+def naive_sequential_masses(X, psi, seq):
+    """|| X[seq[-1]][z[-1]] ... X[seq[0]][z[0]] psi ||^2 for each string z,
+    lexicographic, one string at a time."""
+    masses = []
+    for z in iter_tuples(len(X[0]), len(seq)):
+        state = psi
+        for q, x in zip(seq, z):
+            state = X[q][x] @ state
+        masses.append(float(np.real(np.vdot(state, state))))
+    return masses
+
+
+def naive_claim_selection_lhs(X, psi, t_list, i):
+    """Half the l1 distance between the outcome distributions of the product
+    X[t_m] ... X[t_1] psi and of the same product with X[t_i] applied first."""
+    moved = [i - 1] + [j for j in range(len(t_list)) if j != i - 1]
+    lhs = 0.0
+    for z in iter_tuples(len(X[0]), len(t_list)):
+        s1 = s2 = psi
+        for j, k in zip(range(len(t_list)), moved):
+            s1 = X[t_list[j]][z[j]] @ s1
+            s2 = X[t_list[k]][z[k]] @ s2
+        lhs += abs(float(np.real(np.vdot(s1, s1))) - float(np.real(np.vdot(s2, s2))))
+    return lhs / 2.0

@@ -162,6 +162,20 @@ def test_claim_selection_index_out_of_range():
         verify_claim_selection(tables, [0, 1], 3)
 
 
+def test_claim_selection_rejects_positions_outside_the_game():
+    # a negative entry would otherwise read the last position, and one past
+    # the end would fail with a bare IndexError
+    from provergames import quantum
+
+    g = random_pcp_game(random.Random(48), positions=4)
+    gp = oracularize_pcp_dummy(g)
+    s = quantum.random_strategy(np.random.default_rng(48), gp, 2, 2)
+    tables = com_decompose(g, gp, quantum.symmetrize_second_prover(s, gp))
+    for t_list in ([-1, 2], [4, 2]):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            verify_claim_selection(tables, t_list, 2)
+
+
 def test_file_header_errors():
     with pytest.raises(files.ParseError, match="missing kind"):
         files.parse_game("format_version 1\ncounts 2 2 2 2\n")

@@ -262,14 +262,15 @@ sys.exit(cli.run_cli(sys.argv[1:]))
 # the d1 and d4 distance tables read -1, so the selection-move bound is negative
 _PLANTED_SELECTION_DEFECT = """
 import dataclasses, sys
+import numpy as np
 from provergames import cli, rounding
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
 real = rounding.com_decompose
 def negative_distances(game, gprime, strategy):
     t = real(game, gprime, strategy)
-    return dataclasses.replace(t, d1=(-1.0,) * len(t.d1),
-                               d4=tuple((-1.0,) * len(row) for row in t.d4))
+    return dataclasses.replace(t, d1=np.full_like(t.d1, -1.0),
+                               d4=np.full_like(t.d4, -1.0))
 rounding.com_decompose = negative_distances
 sys.exit(cli.run_cli(sys.argv[1:]))
 """

@@ -26,6 +26,7 @@ from provergames.games import (
 )
 from provergames.indexing import encode_tuple, iter_tuples
 from provergames.sampling import random_product_strategy, random_two_prover_game
+from oracles import embed, q_tuples, r_at
 
 
 def test_validate_chsh_clean():
@@ -120,9 +121,9 @@ def test_eval_multi_round_uniform_strategy_matches_direct_sum():
         for k in range(1, r + 1)])
     # direct-summation oracle: average the predicate over all answer tuples
     expected = sum(
-        g.pi[qi] * sum(g.r_at(qt, at) for at in iter_tuples(a, r))
+        g.pi[qi] * sum(r_at(g, qt, at) for at in iter_tuples(a, r))
         / Fraction(a**r)
-        for qi, qt in enumerate(g.q_tuples()))
+        for qi, qt in enumerate(q_tuples(g)))
     assert eval_multi_round(g, uniform) == expected
 
 
@@ -178,7 +179,7 @@ def test_pcp_triple_distribution_range_check():
 
 def test_no_signaling_deterministic_and_product():
     det = DeterministicBipartiteStrategy((0, 1), (1, 0))
-    ok, violation = is_no_signaling(det.embed(2, 2))
+    ok, violation = is_no_signaling(embed(det, 2, 2))
     assert ok and violation == 0
     rng = random.Random(9)
     for _ in range(10):
@@ -228,7 +229,7 @@ def test_embedding_consistency():
             tuple(rng.randrange(3) for _ in range(2)),
             tuple(rng.randrange(2) for _ in range(2)))
         assert (eval_two_prover(g, det)
-                == eval_two_prover(g, det.embed(g.a1_count, g.a2_count)))
+                == eval_two_prover(g, embed(det, g.a1_count, g.a2_count)))
 
 
 def test_validate_flags_mode_mismatch_in_predicate():

@@ -54,6 +54,41 @@ def test_psd_sqrt_examples():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_psd_sqrt_and_trace_distance_take_stacks():
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    stack = g @ g.conj().swapaxes(-1, -2)
+    roots = psd_sqrt(stack)
+    for idx in np.ndindex(3, 2):
+        assert np.max(np.abs(roots[idx] - psd_sqrt(stack[idx]))) <= 1e-12
+    with pytest.raises(ValueError, match="eigenvalue"):
+        psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        psd_sqrt(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+    phi = np.array([random_state(rng, 4) for _ in range(5)])
+    psi = np.array([random_state(rng, 4) for _ in range(5)])
+    dist = pure_state_trace_distance(phi, psi)
+    assert dist.shape == (5,)
+    for k in range(5):
+        assert dist[k] == pytest.approx(pure_state_trace_distance(phi[k], psi[k]), abs=1e-15)
+    psi[3] *= 2
+    with pytest.raises(ValueError, match="norm"):
+        pure_state_trace_distance(phi, psi)
+
+
+def test_strategy_stacks_are_read_only_and_povms_are_views():
+    from provergames.catalog import chsh
+
+    s = random_strategy(np.random.default_rng(3), chsh().to_float(), 2, 2)
+    assert s.M.shape == s.N.shape == (2, 2, 2, 2) and s.projective
+    povm = s.povms2[1]
+    assert np.shares_memory(povm.elements, s.N) and povm.projective
+    for arr in (s.M, s.N, povm.elements):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
 def test_pure_state_trace_distance():
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
@@ -69,7 +104,7 @@ def test_joint_distribution_product_state():
     basis = Povm((np.diag([1.0, 0.0]).astype(complex),
                   np.diag([0.0, 1.0]).astype(complex)), projective=True)
     state = np.array([1, 0, 0, 0], dtype=complex)  # |0>|0>
-    s = QuantumStrategy(2, 2, state, (basis,), (basis,))
+    s = QuantumStrategy(2, 2, state, [basis.elements], [basis.elements], True)
     dist = joint_distribution(s, 0, 0)
     assert dist[0][0] == pytest.approx(1.0)
 
@@ -78,7 +113,7 @@ def test_joint_distribution_epr_computational():
     basis = Povm((np.diag([1.0, 0.0]).astype(complex),
                   np.diag([0.0, 1.0]).astype(complex)), projective=True)
     epr = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    s = QuantumStrategy(2, 2, epr, (basis,), (basis,))
+    s = QuantumStrategy(2, 2, epr, [basis.elements], [basis.elements], True)
     dist = joint_distribution(s, 0, 0)
     assert dist[0][0] == pytest.approx(0.5)
     assert dist[1][1] == pytest.approx(0.5)
@@ -120,12 +155,10 @@ def test_joint_distribution_rejects_complex_and_unnormalized_tables():
     eye = np.eye(2, dtype=complex)
     plus_zero = np.kron(np.array([1, 1]) / np.sqrt(2), [1, 0]).astype(complex)
     skew = np.array([[1, 1j], [0, 0]])
-    s = QuantumStrategy(2, 2, plus_zero, (Povm((skew, eye - skew)),),
-                        (Povm((eye, 0 * eye)),))
+    s = QuantumStrategy(2, 2, plus_zero, [(skew, eye - skew)], [(eye, 0 * eye)])
     with pytest.raises(ValueError, match="imaginary part"):
         joint_distribution(s, 0, 0)
-    short = QuantumStrategy(2, 2, plus_zero, (Povm((eye / 2, eye * 0.3)),),
-                            (Povm((eye, 0 * eye)),))
+    short = QuantumStrategy(2, 2, plus_zero, [(eye / 2, eye * 0.3)], [(eye, 0 * eye)])
     with pytest.raises(ValueError, match="sums to"):
         joint_distribution(short, 0, 0)
 
@@ -179,15 +212,12 @@ def test_symmetrize_coin_flip_on_deterministic_unequal_answers():
     gp = oracularize_pcp_dummy(g).to_float()
     pairs = [tuple(p) for p in gp.meta["pairs"]]
     d = 2
-    povms2 = []
-    for pair in pairs:
-        elems = [np.zeros((d, d), dtype=complex) for _ in range(4)]
-        elems[encode_tuple((0, 1), 2)] = np.eye(d, dtype=complex)
-        povms2.append(Povm(tuple(elems), projective=True))
-    povms1 = tuple(random_pvm(np.random.default_rng(1), d, 8)
-                   for _ in range(gp.q1_count))
+    n = np.zeros((len(pairs), 4, d, d), dtype=complex)
+    n[:, encode_tuple((0, 1), 2)] = np.eye(d, dtype=complex)
+    m = [random_pvm(np.random.default_rng(1), d, 8).elements
+         for _ in range(gp.q1_count)]
     state = random_state(np.random.default_rng(2), d * d)
-    s = QuantumStrategy(d, d, state, povms1, tuple(povms2))
+    s = QuantumStrategy(d, d, state, m, n, projective=True)
     sym = symmetrize_second_prover(s, gp)
     qq = next(j for j, p in enumerate(pairs) if p[0] == p[1])
     dist = joint_distribution(sym, 0, qq)
@@ -226,5 +256,5 @@ def test_strategy_validation_catches_bad_norm():
     basis = Povm((np.diag([1.0, 0.0]).astype(complex),
                   np.diag([0.0, 1.0]).astype(complex)), projective=True)
     s = QuantumStrategy(2, 2, np.array([1, 0, 0, 1], dtype=complex),
-                        (basis,), (basis,))
+                        [basis.elements], [basis.elements], True)
     assert any("norm" in r for r in validate_strategy(s))

@@ -26,7 +26,9 @@ from provergames.transforms import (
     oracularize_pcp_dummy,
     pcp_from_1in3,
 )
+from provergames.lp import VerificationError
 from provergames.values import entangled_lower_bound, pcp_value
+from oracles import naive_claim_selection_lhs, naive_com_tables, naive_sequential_masses
 
 
 def _contradictory_game():
@@ -50,7 +52,7 @@ def test_honest_strategy_zero_distances_and_point_mass():
     assert tables.eps_cons == pytest.approx(0.0, abs=1e-12)
     assert max(tables.d1) <= 1e-7
     assert max(max(r) for r in tables.d2) <= 1e-7
-    assert max(tables.d3.values()) <= 1e-7
+    assert tables.d3.max() <= 1e-7
     assert max(max(r) for r in tables.d4) <= 1e-7
     rounded = round_com(tables)
     relabeled = tuple(proof[tables.positions[i]] for i in range(3))
@@ -89,7 +91,7 @@ def test_distance_values_in_unit_interval():
     for row in tables.d2:
         for v in row:
             assert 0 <= v <= 1
-    for v in tables.d3.values():
+    for v in tables.d3.ravel():
         assert 0 <= v <= 1
     for row in tables.d4:
         for v in row:
@@ -144,8 +146,7 @@ def test_identity_proportional_roots_round_to_uniform():
     tables = com_decompose(g, gp, s)
     d1 = tables.strategy.d1
     eye = np.eye(d1, dtype=complex)
-    flat = tuple(tuple(eye / np.sqrt(2.0) for _ in range(2))
-                 for _ in range(tables.num_positions))
+    flat = np.broadcast_to(eye / np.sqrt(2.0), (tables.num_positions, 2, d1, d1))
     uniform_tables = dataclasses.replace(tables, X=flat)
     rounded = round_com(uniform_tables)
     assert all(v == pytest.approx(1.0 / len(rounded.dist.theta), abs=1e-12)
@@ -194,13 +195,11 @@ def test_rejects_nonprojective_strategy():
     gp = oracularize_pcp_dummy(g)
     d = 2
     eye = np.eye(d, dtype=complex)
-    povms1 = tuple(quantum.Povm(tuple(eye / 8 for _ in range(8)))
-                   for _ in range(gp.q1_count))
-    povms2 = tuple(quantum.Povm(tuple(eye / 4 for _ in range(4)))
-                   for _ in range(gp.q2_count))
+    m = np.broadcast_to(eye / 8, (gp.q1_count, 8, d, d))
+    n = np.broadcast_to(eye / 4, (gp.q2_count, 4, d, d))
     state = np.zeros(d * d, dtype=complex)
     state[0] = 1.0
-    s = quantum.QuantumStrategy(d, d, state, povms1, povms2)
+    s = quantum.QuantumStrategy(d, d, state, m, n)
     with pytest.raises(ValueError):
         com_decompose(g, gp, s)
 
@@ -301,8 +300,8 @@ def test_aggregate_bound_structure():
         q = t[c]
         manual += 2 * sum(tables.d1[qp] for qp in range(q))
         manual += sum(tables.d4[q][qp] for qp in range(q))
-        manual += tables.d1[q] + tables.d3[(t, c)]
-    assert aggregate_distance_bound(tables, t) == pytest.approx(manual)
+        manual += tables.d1[q] + tables.d3[0, c]
+    assert aggregate_distance_bound(tables)[0] == pytest.approx(manual)
 
 
 def test_averaged_measurements_are_povms():
@@ -406,3 +405,46 @@ def test_ternary_alphabet_com_pipeline():
     assert abs(rounded.deficit) <= 1e-7
     report = verify_com_claims(g, tables, rounded)
     assert report.ok, report.failures()[:4]
+
+
+@pytest.mark.parametrize("seed,positions", [(101, 3), (102, 4), (103, 4), (104, 5),
+                                            (105, 3), (106, 4)])
+def test_batched_tables_match_per_element_references(seed, positions):
+    rng = random.Random(seed)
+    g = random_pcp_game(rng, positions=positions)
+    gp = oracularize_pcp_dummy(g)
+    s = _random_symmetrized(np.random.default_rng(seed), g, gp)
+    tables = com_decompose(g, gp, s)
+    ref = naive_com_tables(tables)
+    for name in ("eps", "eps_cons", "eps_sim"):
+        assert abs(getattr(tables, name) - ref[name]) <= 1e-12
+    # distances near 0 carry sqrt-amplified rounding, so compare squares
+    for name in ("d1", "d2", "d3", "d4"):
+        assert np.max(np.abs(getattr(tables, name) ** 2 - np.array(ref[name]) ** 2)) <= 1e-12
+
+    psi = s.state_matrix()
+    qn = tables.num_positions
+    masses = naive_sequential_masses(tables.X, psi, range(qn))
+    assert np.max(np.abs(round_com(tables).raw - masses)) <= 1e-12
+    for t_list in ([0, 1, 2], [qn - 1, qn - 2], [rng.randrange(qn) for _ in range(4)]):
+        for i in range(1, len(t_list) + 1):
+            lhs, _ = verify_claim_selection(tables, t_list, i)
+            assert abs(lhs - naive_claim_selection_lhs(tables.X, psi, t_list, i)) <= 1e-12
+
+
+def test_claim_selection_bound_with_a_positive_left_side():
+    # positions 3 and 2 of this instance do not commute, so acting with the
+    # second one first moves the distribution; a bound built from zeroed d1
+    # and d4 tables must then fail
+    import dataclasses
+
+    g = random_pcp_game(random.Random(48), positions=4)
+    gp = oracularize_pcp_dummy(g)
+    tables = com_decompose(g, gp, _random_symmetrized(np.random.default_rng(48), g, gp))
+    lhs, rhs = verify_claim_selection(tables, [3, 2], 2)
+    assert lhs == pytest.approx(0.1347, abs=1e-4)
+    assert lhs <= rhs + 1e-7
+    zeroed = dataclasses.replace(tables, d1=np.zeros_like(tables.d1),
+                                 d4=np.zeros_like(tables.d4))
+    with pytest.raises(VerificationError, match="over the bound 0.0"):
+        verify_claim_selection(zeroed, [3, 2], 2)

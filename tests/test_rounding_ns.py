@@ -33,6 +33,7 @@ from provergames.transforms import (
     oracularize_multi_round,
 )
 from provergames.values import multi_round_value, no_signaling_value
+from oracles import embed, pi_at, prefix_length, r_at
 
 
 def _pipeline(gp, theta, game=None, lp_optimal=False):
@@ -63,7 +64,7 @@ def test_honest_strategy_has_zero_failures():
     gp = oracularize_multi_round(g)
     res = multi_round_value(g)
     det = honest_strategy_from_multi_round(res.witness, g, gp)
-    theta = det.embed(gp.a1_count, gp.a2_count)
+    theta = embed(det, gp.a1_count, gp.a2_count)
     tables, rounded, hybrids, report = _pipeline(gp, theta, g)
     assert tables.eps_cons == 0
     assert tables.eps_sim == 1 - res.value
@@ -93,7 +94,7 @@ def _uniform_correct_shape(gp):
         for p in prefixes:
             k = len(p)
             w = Fraction(1, gp.a1_count * na**k)
-            block = [[w if pidx.length_of(a2) == k else Fraction(0)
+            block = [[w if prefix_length(pidx, a2) == k else Fraction(0)
                       for a2 in range(gp.a2_count)]
                      for _ in range(gp.a1_count)]
             row.append(block)
@@ -204,10 +205,10 @@ def test_hybrid_p1_and_pr_identities():
     # recomputed by direct summation
     direct = Fraction(0)
     for i, q in enumerate(tables.q_tuples):
-        pq = g.pi_at(q)
+        pq = pi_at(g, q)
         beta = tables.beta[q]
         for aidx, atup in enumerate(iter_tuples(g.a_count, r)):
-            direct += pq * beta[aidx] * g.r_at(q, atup)
+            direct += pq * beta[aidx] * r_at(g, q, atup)
     assert direct == hybrids.p[r]
 
 
@@ -228,7 +229,7 @@ def test_round_zero_denominator_gives_uniform():
     pidx = PrefixIndex(a, r)
     prefixes = [tuple(p) for p in gp.meta["q2_prefixes"]]
     f2 = tuple(pidx.encode((0,) * len(p)) for p in prefixes)
-    theta = DeterministicBipartiteStrategy(f1, f2).embed(gp.a1_count, gp.a2_count)
+    theta = embed(DeterministicBipartiteStrategy(f1, f2), gp.a1_count, gp.a2_count)
     tables = ns_decompose(gp, theta)
     rounded = round_no_signaling(tables)
     # behind the impossible prefix (answered 1 at round 1) the conditional
