@@ -157,8 +157,8 @@ class TwoProverGame:
         if self.mode == scalars.FLOAT:
             return self
         return TwoProverGame(self.q1_count, self.q2_count, self.a1_count,
-                             self.a2_count, self.pi.astype(float),
-                             self.R.astype(float), scalars.FLOAT,
+                             self.a2_count, scalars.floats(self.pi),
+                             scalars.floats(self.R), scalars.FLOAT,
                              self.labels, self.meta)
 
 
@@ -238,7 +238,7 @@ class PcpGame:
         if self.mode == scalars.FLOAT:
             return self
         return PcpGame(self.positions, self.alphabet_size, self.triples,
-                       self.pi.astype(float), self.R.astype(float),
+                       scalars.floats(self.pi), scalars.floats(self.R),
                        scalars.FLOAT, self.labels, self.meta)
 
 
@@ -400,16 +400,28 @@ def _wrong_mode(values, mode):
     return np.frompyfunc(lambda v: not isinstance(v, kinds), 1, 1)(values).astype(bool)
 
 
-def _check_dist(values, mode, where, report):
-    for v in values[values < 0]:
+def _check_dist(values, mode, where, report, form=None):
+    """Report the negative entries and a sum off 1.  ``form`` is the
+    table's ``(num, den)`` from ``_check_mode_entries``; without one the
+    entries are compared as they are."""
+    num, den = form or (values, None)
+    for v in values[num < 0]:
         report.append(f"{where}: negative entry {v}")
-    total = scalars.total(values, mode)
+    total = (scalars.total(values, mode) if den is None
+             else Fraction(int(num.sum()), den))
     if _off_one(total, mode):
         shown = total if mode == scalars.RATIONAL else repr(total)
         report.append(f"{where}: normalization violated, sum = {shown}")
 
 
 def _check_mode_entries(values, mode, where, report):
+    """Report the first entry that is not a scalar of ``mode``.
+
+    Returns the table's ``(num, den)`` for the range and sum checks: a
+    rational table whose entries all pass becomes integer numerators over
+    one denominator (``scalars.integers``), so those checks make no
+    ``Fraction``; any other table stays as it is, with ``den`` None.
+    """
     wrong = values[_wrong_mode(values, mode)]
     if wrong.size:
         v = wrong[0]
@@ -418,10 +430,18 @@ def _check_mode_entries(values, mode, where, report):
             report.append(f"{where}: entry {v!r} does not match mode {mode}")
         except scalars.ModeError:
             report.append(f"{where}: entry {v!r} is not a scalar")
+    elif mode == scalars.RATIONAL:
+        return scalars.integers(values, terms=values.size)
+    return values, None
 
 
-def _check_predicate(values, where, report):
-    bad = values[(values < 0) | (values > 1)]
+def _outside_unit(num, den):
+    """Mask of the entries outside [0, 1] of a table's ``(num, den)``."""
+    return (num < 0) | (num > (1 if den is None else den))
+
+
+def _check_predicate(values, where, report, form):
+    bad = values[_outside_unit(*form)]
     if bad.size:
         report.append(f"{where}: predicate range violated by entry {bad[0]}")
 
@@ -453,11 +473,11 @@ def _validate_pcp(game, report):
     if game.R.shape != (len(t), game.alphabet_size**3):
         report.append("R dimensions do not match the triples and A^3")
         return
-    _check_mode_entries(game.pi, game.mode, "pi", report)
-    _check_dist(game.pi, game.mode, "pi", report)
-    _check_mode_entries(game.R, game.mode, "R", report)
-    for i in np.flatnonzero(((game.R < 0) | (game.R > 1)).any(axis=1)).tolist():
-        _check_predicate(game.R[i], f"R[{rows[i]}]", report)
+    form = _check_mode_entries(game.pi, game.mode, "pi", report)
+    _check_dist(game.pi, game.mode, "pi", report, form)
+    num, den = _check_mode_entries(game.R, game.mode, "R", report)
+    for i in np.flatnonzero(_outside_unit(num, den).any(axis=1)).tolist():
+        _check_predicate(game.R[i], f"R[{rows[i]}]", report, (num[i], den))
 
 
 def validate(obj):
@@ -474,10 +494,10 @@ def validate(obj):
         if obj.R.shape != obj.shape:
             report.append("R dimensions do not match counts")
             return report
-        _check_mode_entries(obj.pi, obj.mode, "pi", report)
-        _check_dist(obj.pi, obj.mode, "pi", report)
-        _check_mode_entries(obj.R, obj.mode, "R", report)
-        _check_predicate(obj.R, "R", report)
+        form = _check_mode_entries(obj.pi, obj.mode, "pi", report)
+        _check_dist(obj.pi, obj.mode, "pi", report, form)
+        form = _check_mode_entries(obj.R, obj.mode, "R", report)
+        _check_predicate(obj.R, "R", report, form)
     elif isinstance(obj, MultiRoundGame):
         nq, na = obj.q_count**obj.rounds, obj.a_count**obj.rounds
         if obj.q_count < 1 or obj.a_count < 1 or obj.rounds < 1:
@@ -488,10 +508,10 @@ def validate(obj):
         if obj.R.shape != (nq * na,):
             report.append("R length does not match Q^r * A^r")
             return report
-        _check_mode_entries(obj.pi, obj.mode, "pi", report)
-        _check_dist(obj.pi, obj.mode, "pi", report)
-        _check_mode_entries(obj.R, obj.mode, "R", report)
-        _check_predicate(obj.R, "R", report)
+        form = _check_mode_entries(obj.pi, obj.mode, "pi", report)
+        _check_dist(obj.pi, obj.mode, "pi", report, form)
+        form = _check_mode_entries(obj.R, obj.mode, "R", report)
+        _check_predicate(obj.R, "R", report, form)
     elif isinstance(obj, PcpGame):
         _validate_pcp(obj, report)
     elif isinstance(obj, BipartiteStrategy):
@@ -543,11 +563,19 @@ def eval_two_prover(game, strategy):
     """Winning probability: sum over pi * theta * R, taken over the nonzero
     entries of R.
 
-    A deterministic strategy reads its answer pair's predicate entry.
+    A deterministic strategy reads its answer pair's predicate entry; an
+    answer outside the game's answer range is a ``DimensionError``.
     """
     if isinstance(strategy, DeterministicBipartiteStrategy):
         if (len(strategy.f1), len(strategy.f2)) != game.shape[:2]:
             raise DimensionError("strategy table does not match the game")
+        for prover, f, a_count in ((1, strategy.f1, game.a1_count),
+                                   (2, strategy.f2, game.a2_count)):
+            bad = [q for q, a in enumerate(f) if not 0 <= a < a_count]
+            if bad:
+                raise DimensionError(
+                    f"prover {prover} answers {f[bad[0]]} to question {bad[0]}, "
+                    f"outside 0..{a_count - 1}")
         return scalars.total(game.pi * game.R[strategy.answer_cells()], game.mode)
     if game.shape != strategy.shape:
         raise DimensionError("strategy table does not match the game")
@@ -602,18 +630,23 @@ def is_no_signaling(strategy, tol=None):
 
     A strategy is no-signaling when each prover's answer marginal does not
     depend on the other prover's question.  ``tol`` defaults to exact zero
-    in rational mode and 1e-9 in float mode.
+    in rational mode and 1e-9 in float mode.  A rational table is summed as
+    integer numerators over one denominator.
     """
     mode = strategy.mode
     if tol is None:
         tol = scalars.zero(mode) if mode == scalars.RATIONAL else 1e-9
-    zero = scalars.zero(mode)
+    theta, den = strategy.theta, None
+    if mode == scalars.RATIONAL:
+        # a violation is the difference of two sums of up to max(A1, A2) entries
+        theta, den = scalars.integers(
+            theta, terms=2 * max(strategy.a1_count, strategy.a2_count))
     # each prover's marginal, compared with the one at the other prover's
     # first question
-    m1 = scalars.total(strategy.theta, mode, axis=3)  # [q1][q2][a1]
-    m2 = scalars.total(strategy.theta, mode, axis=2)  # [q1][q2][a2]
-    worst = scalars.as_python(max(abs(m1 - m1[:, :1]).max(initial=zero),
-                                  abs(m2 - m2[:1]).max(initial=zero)))
+    m1 = np.sum(theta, axis=3, initial=0)  # [q1][q2][a1]
+    m2 = np.sum(theta, axis=2, initial=0)  # [q1][q2][a2]
+    worst = max(abs(m1 - m1[:, :1]).max(initial=0), abs(m2 - m2[:1]).max(initial=0))
+    worst = scalars.as_python(worst) if den is None else Fraction(int(worst), den)
     return bool(worst <= tol), worst
 
 

@@ -205,7 +205,12 @@ def psd_sqrt(op, tol=PSD_TOL):
 
 def pure_state_trace_distance(phi, psi):
     """sqrt(1 - |<phi|psi>|^2) for unit vectors along the last axis: a float
-    for two vectors, an array of distances for two equally shaped stacks."""
+    for two vectors, an array of distances for two equally shaped stacks.
+
+    Computed as sqrt((1 - |<phi|psi>|)(1 + |<phi|psi>|)) with
+    1 - |<phi|psi>| = |phi - e^{i arg<psi|phi>} psi|^2 / 2, which does not
+    cancel when the states (nearly) agree up to a phase.
+    """
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if phi.shape != psi.shape:
@@ -215,8 +220,10 @@ def pure_state_trace_distance(phi, psi):
         off = np.abs(norms - 1.0) > UNIT_TOL
         if off.any():
             raise ValueError(f"state norm {norms[off][0]!r} is not 1 within {UNIT_TOL}")
-    overlap = np.abs(np.einsum("...i,...i->...", phi.conj(), psi)) ** 2
-    dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+    inner = np.einsum("...i,...i->...", psi.conj(), phi)  # <psi|phi>
+    aligned = np.exp(1j * np.angle(inner))[..., None] * psi
+    gap = np.sum(np.abs(phi - aligned) ** 2, axis=-1) / 2
+    dist = np.sqrt(np.clip(gap * (1.0 + np.abs(inner)), 0.0, 1.0))
     return float(dist) if dist.ndim == 0 else dist
 
 

@@ -221,7 +221,12 @@ def oracularize_pcp_dummy(game):
 
 
 def parallel_repeat(game, n):
-    """n-fold parallel repetition: product questions, all copies must win."""
+    """n-fold parallel repetition: product questions, all copies must win.
+
+    A rational table is repeated on its integer numerators, over its
+    denominator to the n-th power, and only the result's distinct entries
+    become ``Fraction``s.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     q1n, q2n = game.q1_count**n, game.q2_count**n
@@ -230,8 +235,15 @@ def parallel_repeat(game, n):
     meta = {"kind": "parallel_repetition", "copies": n,
             "base_counts": [game.q1_count, game.q2_count,
                             game.a1_count, game.a2_count]}
-    return TwoProverGame(q1n, q2n, a1n, a2n, _repeat_table(game.pi, n),
-                         _repeat_table(game.R, n), game.mode, meta=meta)
+
+    def repeat(table):
+        if game.mode == scalars.FLOAT:
+            return _repeat_table(table, n)
+        num, den = scalars.integers(table, power=n)
+        return scalars.rationals(_repeat_table(num, n), den**n)
+
+    return TwoProverGame(q1n, q2n, a1n, a2n, repeat(game.pi), repeat(game.R),
+                         game.mode, meta=meta)
 
 
 def _repeat_table(table, n):

@@ -40,6 +40,35 @@ class ValueResult:
 CLASSICAL_BATCH_ENTRIES = 1 << 18
 
 
+def _weights(pi, R, mode, terms):
+    """``(pi * R, den)``: the weights to score and what turns a score into
+    the value.
+
+    In rational mode the weights are integer numerators over the common
+    denominator ``den`` (``scalars.integers``), int64 unless a sum of
+    ``terms`` of them could overflow; scaling by ``den`` keeps every
+    comparison, so the argmaxes and ties are those of the exact weights.
+    In float mode they are the float products and ``den`` is None.
+    """
+    if mode == scalars.FLOAT:
+        return pi * R, None
+    (pi_num, pi_den), (r_num, r_den) = (scalars.integers(t, terms, power=2)
+                                        for t in (pi, R))
+    return pi_num * r_num, pi_den * r_den
+
+
+def _value(score, den):
+    """A best score as the game value: ``Fraction(score, den)``, or the
+    float itself in float mode."""
+    return scalars.as_python(score) if den is None else Fraction(int(score), den)
+
+
+def _total(scores, axis):
+    """Sum over ``axis`` of an integer or float score array, started at 0
+    like ``scalars.total``, so float sums keep their order."""
+    return np.sum(scores, axis=axis, initial=0)
+
+
 def classical_value(game):
     """Exact optimum over deterministic strategy pairs.
 
@@ -47,7 +76,8 @@ def classical_value(game):
     prover's best response per question, which is exact because the payoff
     is linear in each prover's table.  Tables are scored in batches, in
     lexicographic order; ties keep the first table and the smallest
-    best-response answer.
+    best-response answer.  A rational game is scored on integer weights
+    over one denominator (``_weights``).
     """
     cost1 = game.a1_count**game.q1_count
     cost2 = game.a2_count**game.q2_count
@@ -58,7 +88,8 @@ def classical_value(game):
 
     # weight[q][p][a][b]: q, a belong to the enumerated prover, p, b to the
     # responding one
-    weight = game.pi[:, :, None, None] * game.R
+    weight, den = _weights(game.pi[:, :, None, None], game.R, game.mode,
+                           game.q1_count * game.q2_count)
     if not enumerate_first:
         weight = weight.transpose(1, 0, 3, 2)
     q_count, p_count, a_count, b_count = weight.shape
@@ -67,14 +98,14 @@ def classical_value(game):
     for start in range(0, a_count**q_count, batch):
         f = digit_table(a_count, q_count, start, min(start + batch, a_count**q_count))
         # scores[table][p][b]: the responder's payoff for answer b to p
-        scores = scalars.total(weight[np.arange(q_count), :, f, :], game.mode, axis=1)
-        totals = scalars.total(scores.max(axis=2), game.mode, axis=1)
+        scores = _total(weight[np.arange(q_count), :, f, :], axis=1)
+        totals = _total(scores.max(axis=2), axis=1)
         i = int(np.argmax(totals))
         if best is None or totals[i] > best:
             best, best_f, best_scores = totals[i], f[i], scores[i]
     tables = (tuple(best_f.tolist()), tuple(np.argmax(best_scores, axis=1).tolist()))
     witness = DeterministicBipartiteStrategy(*(tables if enumerate_first else tables[::-1]))
-    return ValueResult(scalars.as_python(best), witness,
+    return ValueResult(_value(best, den), witness,
                        "deterministic-enumeration", game.mode == scalars.RATIONAL)
 
 
@@ -85,11 +116,13 @@ def multi_round_value(game):
     prefix, answer prefix) of length k, as a ``(Q^k, A^k)`` array; viewed as
     ``(Q^(k-1), Q, A^(k-1), A)``, one step maximizes over the last answer
     and sums over the last question.  The witness is the deterministic
-    strategy of the argmaxes (ties keep the smallest answer).
+    strategy of the argmaxes (ties keep the smallest answer).  A rational
+    game is scored on integer weights over one denominator (``_weights``).
     """
     nq, na, r = game.q_count, game.a_count, game.rounds
     check_table_size(2 * nq**r * na**r, "multi_round_value tables")
-    level = game.pi[:, None] * game.R.reshape(nq**r, na**r)
+    level, den = _weights(game.pi[:, None], game.R.reshape(nq**r, na**r),
+                          game.mode, nq**r)
     tables = []
     for k in range(r - 1, -1, -1):
         block = level.reshape(nq**k, nq, na**k, na)
@@ -97,9 +130,9 @@ def multi_round_value(game):
         table = scalars.zeros((best.size, na), game.mode)
         table[np.arange(best.size), best] = scalars.one(game.mode)
         tables.insert(0, table)
-        level = scalars.total(block.max(axis=3), game.mode, axis=1)
+        level = _total(block.max(axis=3), axis=1)
     witness = MultiRoundStrategy(nq, na, r, tables, game.mode)
-    return ValueResult(scalars.as_python(level[0, 0]), witness, "backward-induction",
+    return ValueResult(_value(level[0, 0], den), witness, "backward-induction",
                        game.mode == scalars.RATIONAL)
 
 
@@ -108,11 +141,12 @@ def pcp_value(game):
 
     Enumerates A^Q in lexicographic batches of ``digit_table`` rows and
     scores each batch against the support triples at once; ties keep the
-    first proof.
+    first proof.  A rational game is scored on integer weights over one
+    denominator (``_weights``).
     """
     sup = game.pi > 0
     triples = game.triples[sup]
-    weight = game.pi[sup][:, None] * game.R[sup]
+    weight, den = _weights(game.pi[sup][:, None], game.R[sup], game.mode, len(triples))
     a, n = game.alphabet_size, game.positions
     check_table_size(a**n * max(1, len(triples)), "pcp_value enumeration")
     batch = max(1, CLASSICAL_BATCH_ENTRIES // max(1, len(triples)))
@@ -121,12 +155,11 @@ def pcp_value(game):
         proofs = digit_table(a, n, start, min(start + batch, a**n))
         codes = proofs[:, triples] @ np.array([a * a, a, 1])  # [proof][triple]
         # summed over the triples in order, one proof per column
-        totals = scalars.total(weight[np.arange(len(triples))[:, None], codes.T],
-                               game.mode, axis=0)
+        totals = _total(weight[np.arange(len(triples))[:, None], codes.T], axis=0)
         i = int(np.argmax(totals))
         if best is None or totals[i] > best:
             best, best_proof = totals[i], proofs[i]
-    return ValueResult(scalars.as_python(best), tuple(best_proof.tolist()),
+    return ValueResult(_value(best, den), tuple(best_proof.tolist()),
                        "proof-enumeration", game.mode == scalars.RATIONAL)
 
 

@@ -10,6 +10,7 @@ import pytest
 from provergames import cli, files, scalars
 from provergames.catalog import chsh, tiny_1in3
 from provergames.games import (
+    DeterministicBipartiteStrategy,
     DimensionError,
     MultiRoundGame,
     MultiRoundStrategy,
@@ -17,6 +18,7 @@ from provergames.games import (
     PcpProofDistribution,
     eval_multi_round,
     eval_pcp,
+    eval_two_prover,
     validate,
 )
 from provergames.lp import Constraint
@@ -51,6 +53,15 @@ def test_eval_multi_round_dimension_mismatch():
         tuple((Fraction(1, 2), Fraction(1, 2)) for _ in range(18))))
     with pytest.raises(DimensionError):
         eval_multi_round(g, s)
+
+
+def test_eval_two_prover_rejects_answers_outside_the_game():
+    # as an index, -1 would wrap to the last answer
+    for f1 in ((-1, 0), (2, 0)):
+        with pytest.raises(DimensionError, match=r"prover 1 answers .* to question 0"):
+            eval_two_prover(chsh(), DeterministicBipartiteStrategy(f1, (0, 0)))
+    with pytest.raises(DimensionError, match=r"prover 2 answers 5 to question 1"):
+        eval_two_prover(chsh(), DeterministicBipartiteStrategy((0, 0), (0, 5)))
 
 
 def test_eval_pcp_dimension_mismatch():

@@ -1,0 +1,237 @@
+"""Rational tables as integer numerators over one denominator: the
+``scalars.integers``/``rationals``/``floats`` helpers, and the readers
+built on them against the ``Fraction`` oracles on games with mixed
+denominators."""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from provergames import scalars, values
+from provergames.catalog import chsh, magic_square_game
+from provergames.games import (
+    MultiRoundGame,
+    PcpGame,
+    PcpProofDistribution,
+    TwoProverGame,
+    eval_multi_round,
+    eval_pcp,
+    validate,
+)
+from provergames.indexing import iter_tuples
+from provergames.transforms import parallel_repeat
+from provergames.values import classical_value, multi_round_value, pcp_value
+from oracles import (
+    brute_classical,
+    brute_multi_round,
+    brute_pcp,
+    naive_classical_value,
+    naive_parallel_repeat,
+)
+
+#: denominators mixed within one table, so its common denominator is an lcm
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12)
+
+
+@st.composite
+def distributions(draw, n):
+    """n rational weights summing to 1, some of them 0."""
+    weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+@st.composite
+def predicates(draw, n):
+    """n entries in [0, 1] with denominators drawn from DENOMINATORS."""
+    out = []
+    for _ in range(n):
+        d = draw(st.sampled_from(DENOMINATORS))
+        out.append(Fraction(draw(st.integers(0, d)), d))
+    return out
+
+
+@st.composite
+def two_prover_games(draw, max_q=3, max_a=3):
+    q1, q2 = draw(st.integers(1, max_q)), draw(st.integers(1, max_q))
+    a1, a2 = draw(st.integers(1, max_a)), draw(st.integers(1, max_a))
+    pi = np.array(draw(distributions(q1 * q2)), dtype=object).reshape(q1, q2)
+    R = np.array(draw(predicates(q1 * q2 * a1 * a2)), dtype=object).reshape(q1, q2, a1, a2)
+    return TwoProverGame(q1, q2, a1, a2, pi, R)
+
+
+@st.composite
+def multi_round_games(draw):
+    q, a, r = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return MultiRoundGame(q, a, r, draw(distributions(q**r)),
+                          draw(predicates(q**r * a**r)))
+
+
+@st.composite
+def pcp_games(draw):
+    positions, a = draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    triples = [t for t in iter_tuples(positions, 3) if t[0] < t[1] < t[2]]
+    chosen = sorted(draw(st.sets(st.sampled_from(triples), min_size=1)))
+    return PcpGame(positions, a, chosen, draw(distributions(len(chosen))),
+                   np.array(draw(predicates(len(chosen) * a**3)),
+                            dtype=object).reshape(len(chosen), a**3))
+
+
+def assert_same_fractions(table, reference):
+    reference = np.array(reference, dtype=object)
+    assert table.shape == reference.shape
+    for got, want in zip(table.flat, reference.flat):
+        assert isinstance(got, Fraction) and got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_prover_games())
+def test_classical_value_matches_the_fraction_oracles(game):
+    assert validate(game) == []
+    value, (f1, f2) = naive_classical_value(game)
+    # one batch, and one table per batch, so ties also meet across batches
+    for batch_entries in (values.CLASSICAL_BATCH_ENTRIES, 1):
+        with mock.patch.object(values, "CLASSICAL_BATCH_ENTRIES", batch_entries):
+            res = classical_value(game)
+        assert isinstance(res.value, Fraction)
+        assert res.value == value == brute_classical(game)
+        assert (res.witness.f1, res.witness.f2) == (f1, f2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_round_games())
+def test_multi_round_value_matches_the_fraction_oracle(game):
+    res = multi_round_value(game)
+    assert isinstance(res.value, Fraction)
+    assert res.value == brute_multi_round(game)
+    assert eval_multi_round(game, res.witness) == res.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(pcp_games())
+def test_pcp_value_matches_the_fraction_oracle(game):
+    res = pcp_value(game)
+    assert isinstance(res.value, Fraction)
+    assert res.value == brute_pcp(game)
+    with mock.patch.object(values, "CLASSICAL_BATCH_ENTRIES", 1):
+        assert pcp_value(game) == res
+    # the witness is the first proof, lexicographically, that attains it
+    for proof in iter_tuples(game.alphabet_size, game.positions):
+        got = eval_pcp(game, PcpProofDistribution.point_mass(proof, game.alphabet_size))
+        if proof == res.witness:
+            assert got == res.value
+            break
+        assert got < res.value
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_prover_games(max_q=2, max_a=2), st.integers(1, 3))
+def test_parallel_repeat_matches_the_fraction_oracle(game, n):
+    repeated = parallel_repeat(game, n)
+    pi, R = naive_parallel_repeat(game, n)
+    assert_same_fractions(repeated.pi, pi)
+    assert_same_fractions(repeated.R, R)
+    assert validate(repeated) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_prover_games())
+def test_integer_form_round_trips(game):
+    for table in (game.pi, game.R):
+        num, den = scalars.integers(table)
+        assert num.dtype == np.int64
+        back = scalars.rationals(num, den)
+        assert not back.flags.writeable
+        assert_same_fractions(back, table)
+        assert all(v * den == n for v, n in zip(table.flat, num.flat))
+
+
+def test_int64_is_chosen_while_the_bound_fits():
+    assert scalars.integers(chsh().R)[0].dtype == np.int64
+    # power * bits(max(|num|, den)) + bits(terms) against 63
+    assert scalars.integers(np.array([Fraction(1, 2**60)]))[0].dtype == np.int64
+    assert scalars.integers(np.array([Fraction(1, 2**61)]))[0].dtype == object
+    assert scalars.integers(np.array([Fraction(1, 2**59)]), terms=3)[0].dtype == np.int64
+    assert scalars.integers(np.array([Fraction(1, 2**59)]), terms=4)[0].dtype == object
+    assert scalars.integers(np.array([Fraction(1, 2**29)]), power=2)[0].dtype == np.int64
+    assert scalars.integers(np.array([Fraction(1, 2**30)]), power=2)[0].dtype == object
+    with pytest.raises(scalars.ModeError):
+        scalars.integers(np.array([Fraction(1, 2), 0.5], dtype=object))
+
+
+def _near_2_40_game():
+    """A game whose pi has denominators near 2^40: their lcm is about 2^80,
+    past int64."""
+    p, q = 2**40 + 15, 2**40 - 87  # coprime
+    pi = [[Fraction(1, p), Fraction(1, q)],
+          [Fraction(1, 3), 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, 3)]]
+    rng = random.Random(3)
+    R = [[[[Fraction(rng.randrange(3), 2) for _ in range(2)] for _ in range(2)]
+          for _ in range(2)] for _ in range(2)]
+    return TwoProverGame(2, 2, 2, 2, pi, R)
+
+
+def test_denominators_near_2_40_take_python_ints():
+    game = _near_2_40_game()
+    assert validate(game) == []
+    num, den = scalars.integers(game.pi)
+    assert num.dtype == object and den.bit_length() > 63
+    assert all(isinstance(v, int) for v in num.flat)
+    assert_same_fractions(scalars.rationals(num, den), game.pi)
+    res = classical_value(game)
+    value, (f1, f2) = naive_classical_value(game)
+    assert res.value == value == brute_classical(game)
+    assert (res.witness.f1, res.witness.f2) == (f1, f2)
+    repeated = parallel_repeat(game, 2)
+    pi, R = naive_parallel_repeat(game, 2)
+    assert_same_fractions(repeated.pi, pi)
+    assert_same_fractions(repeated.R, R)
+    assert validate(repeated) == []
+    bad = TwoProverGame(2, 2, 2, 2, game.pi * 2, game.R)
+    assert validate(bad) == ["pi: normalization violated, sum = 2"]
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_to_float_is_float_of_each_fraction():
+    rng = random.Random(11)
+    for bits in (8, 30, 52, 53, 54, 70, 120):
+        table = np.array([Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1)
+                          for _ in range(200)], dtype=object)
+        want = np.array([float(v) for v in table])
+        assert _bitwise(scalars.floats(table), want)
+        # one huge denominator shared by small entries
+        table = np.array([Fraction(rng.randrange(1, 50), 2**bits) for _ in range(50)],
+                         dtype=object)
+        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+        # one odd denominator shared by entries with numerators of its size:
+        # int64, but past 2**53 from 54 bits on
+        den = rng.getrandbits(min(bits, 62)) | 1
+        table = np.array([Fraction(rng.randrange(den), den) for _ in range(200)],
+                         dtype=object)
+        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+        # numerators of that size over small denominators
+        table = np.array([Fraction(rng.getrandbits(bits), rng.randrange(1, 8))
+                          for _ in range(200)], dtype=object)
+        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+    # small numerators over one denominator just past 2**60, which is no double
+    den = 2**60 + 2**7 + 1
+    table = np.array([Fraction(rng.randrange(1, 2**20), den) for _ in range(200)],
+                     dtype=object)
+    assert scalars.integers(table)[0].dtype == np.int64
+    assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+    game = magic_square_game()
+    assert _bitwise(game.to_float().R,
+                    np.array([float(v) for v in game.R.flat]).reshape(game.R.shape))
+    near = _near_2_40_game()
+    assert _bitwise(near.to_float().pi,
+                    np.array([float(v) for v in near.pi.flat]).reshape(2, 2))

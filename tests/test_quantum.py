@@ -100,6 +100,18 @@ def test_pure_state_trace_distance():
         pure_state_trace_distance(2 * e0, e1)
 
 
+def test_trace_distance_vanishes_on_the_same_state_up_to_phase():
+    # 1 - |<phi|psi>|^2 would leave rounding of order 1e-8 under the root
+    rng = np.random.default_rng(2)
+    for _ in range(1000):
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        v /= np.linalg.norm(v)
+        assert pure_state_trace_distance(v, v) <= 1e-15
+        rotated = np.exp(1j * rng.uniform(0, 2 * np.pi)) * v
+        assert pure_state_trace_distance(v, rotated) <= 1e-15
+        assert pure_state_trace_distance(rotated, v) <= 1e-15
+
+
 def test_joint_distribution_product_state():
     basis = Povm((np.diag([1.0, 0.0]).astype(complex),
                   np.diag([0.0, 1.0]).astype(complex)), projective=True)

@@ -97,10 +97,10 @@ def test_distance_values_in_unit_interval():
         for v in row:
             assert 0 <= v <= 1
     # d4 is symmetric and zero on the diagonal
-    # the diagonal is 0 up to sqrt-amplified float noise
+    # the diagonal is 0 up to float rounding
     qn = tables.num_positions
     for q1 in range(qn):
-        assert tables.d4[q1][q1] <= 1e-6
+        assert tables.d4[q1][q1] <= 1e-12
         for q2 in range(qn):
             assert tables.d4[q1][q2] == pytest.approx(tables.d4[q2][q1], abs=1e-9)
 

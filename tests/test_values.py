@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provergames import quantum, scalars, values
 from provergames.catalog import chsh, magic_square_game
@@ -275,6 +277,22 @@ def test_value_chain_on_random_games():
                                   classical_seed=c.witness)
         assert float(c.value) <= e.value + 1e-11
         assert e.value <= float(ns.value) + 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3))
+def test_value_chain_property(seed, q1, q2, a1, a2):
+    # classical <= see-saw <= no-signaling: classical and no-signaling exact,
+    # the see-saw in floats from random starts plus the classical witness
+    g = random_two_prover_game(random.Random(seed), q1, q2, a1, a2)
+    c = classical_value(g)
+    ns = no_signaling_value(g)
+    e = entangled_lower_bound(g.to_float(), dims=(2, 2), restarts=2, max_iters=30,
+                              seed=seed, classical_seed=c.witness)
+    assert c.value <= ns.value
+    assert float(c.value) <= e.value + 1e-7
+    assert e.value <= float(ns.value) + 1e-7
 
 
 def test_size_guard_on_enumeration():
