@@ -315,16 +315,37 @@ def _suite_lemma_distance(args):
     return InequalityReport(tuple(rows))
 
 
+#: games with strategies drawn per sample, and position lists per strategy,
+#: in search of a move that can change the distribution
+_SELECTION_DRAWS = 20
+#: a commutator entry above this makes a pair of positions non-commuting
+_COMMUTATOR_TOL = 1e-9
+
+
 def _suite_claim_selection(args):
+    """The selection-move bound on random strategies.  A move changes the
+    distribution only if the moved operator fails to commute with one it
+    passes, so each sample redraws its game and strategy, and then its
+    position list (up to ``_SELECTION_DRAWS`` times each), until some
+    ``t[j], t[i]`` with ``j < i`` is such a pair.  At three positions a
+    game has one triple, whose single measurement makes every pair
+    commute; the suite defaults to four."""
     rng = sampling.seeded(args.seed)
     rng_np = np.random.default_rng(args.seed)
     rows = []
     for k in range(args.samples):
-        g = sampling.random_pcp_game(rng, args.questions)
-        gp = transforms.oracularize_pcp_dummy(g)
-        tables = _random_com_tables(rng_np, g, gp, False, args)
+        for _ in range(_SELECTION_DRAWS):
+            g = sampling.random_pcp_game(rng, args.questions)
+            gp = transforms.oracularize_pcp_dummy(g)
+            tables = _random_com_tables(rng_np, g, gp, False, args)
+            clash = rounding.position_commutators(tables) > _COMMUTATOR_TOL
+            if clash.any():
+                break
         qn = tables.num_positions
-        t_list = [rng.randrange(qn) for _ in range(args.length)]
+        for _ in range(_SELECTION_DRAWS):
+            t_list = [rng.randrange(qn) for _ in range(args.length)]
+            if any(clash[a, b] for j, a in enumerate(t_list) for b in t_list[j + 1:]):
+                break
         for i in range(1, args.length + 1):
             lhs, rhs = rounding.verify_claim_selection(tables, t_list, i)
             rows.append(InequalityRow(
@@ -411,7 +432,7 @@ def run_cli(argv):
     except SystemExit as e:
         return e.code if e.code is not None else 2
     if getattr(args, "questions", None) is None and args.command == "verify":
-        args.questions = 2 if args.suite in ("lemma-wns", "ns-claims") else 3
+        args.questions = {"lemma-wns": 2, "ns-claims": 2, "claim-selection": 4}.get(args.suite, 3)
     try:
         return args.func(args)
     except lp.VerificationError as e:

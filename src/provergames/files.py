@@ -15,8 +15,10 @@ Game files are line based::
 ``counts`` is ``q1 q2 a1 a2`` for two-prover games, ``Q A r`` for
 multi-round games, and ``Q A`` for PCP games.  Index tuples follow the same
 order (questions then answers, one integer per component, multi-round
-tuples written out in full).  Values are exact ``p/q`` rationals or decimal
-floats and must match the declared mode.
+tuples written out in full); of several lines naming one cell the last one
+counts.  Values are exact ``p/q`` rationals or decimal floats and must
+match the declared mode.  A rational game is read into, and written from,
+the integer forms of its tables (``scalars.IntegerForm``).
 
 Formula files: a header ``1in3 <variables> <clauses>`` followed by one
 clause per line, three nonzero 1-based signed integers (sign = polarity).
@@ -25,6 +27,9 @@ clause per line, three nonzero 1-based signed integers (sign = polarity).
 from __future__ import annotations
 
 import json
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,37 +63,72 @@ def _parse_value(text, mode, line_no):
     return value
 
 
-def _entries(table):
-    """The nonzero entries of a table as ``(index tuple, value)`` pairs, in
-    row-major order."""
-    cells = np.nonzero(table)
-    return list(zip(zip(*(c.tolist() for c in cells)), table[cells]))
+def _cells(game, name, shape):
+    """The nonzero entries of table ``name`` viewed with ``shape``, in
+    row-major order: their indices as an ``(n, len(shape))`` array, their
+    values as text, and whether every one of them is 1.  A table with an
+    integer form is read on it."""
+    form = game.integer_form(name)
+    if form is None:
+        table = getattr(game, name).reshape(shape)
+        cells = np.nonzero(table)
+        values = table[cells]
+        texts = [scalars.format_scalar(v) for v in values]
+        ones = all(v == 1 for v in values)
+    else:
+        num = form.num.reshape(shape)
+        cells = np.nonzero(num)
+        values = num[cells]
+        texts = _texts(values, lambda v: scalars.format_scalar(Fraction(v, form.den)))
+        ones = bool((values == form.den).all())
+    return np.stack(cells, axis=-1).reshape(-1, len(shape)), texts, ones
+
+
+def _texts(values, fmt):
+    """``fmt`` of each entry of an integer array, called once per distinct
+    entry."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.tolist()], dtype=str)[inverse.reshape(-1)]
+
+
+def _lines(token, rows, texts=None):
+    """One line per index row: ``token``, the row's indices and, with
+    ``texts``, its value."""
+    columns = [_texts(rows[:, j], str) for j in range(rows.shape[1])]
+    if texts is not None:
+        columns.append(np.asarray(texts, dtype=str))
+    lines = np.asarray(token)
+    for column in columns:
+        lines = np.char.add(np.char.add(lines, " "), column)
+    return lines.reshape(-1).tolist()
 
 
 def serialize_game(game):
     if isinstance(game, TwoProverGame):
         kind, counts = KIND_TWO_PROVER, game.shape
-        pi, rvals = _entries(game.pi), _entries(game.R)
+        pi, rvals = _cells(game, "pi", game.pi.shape), _cells(game, "R", game.R.shape)
     elif isinstance(game, MultiRoundGame):
         kind, counts = KIND_MULTI_ROUND, game.shape
         q, a, r = counts
-        pi = _entries(game.pi.reshape((q,) * r))
-        rvals = _entries(game.R.reshape((q,) * r + (a,) * r))
+        pi = _cells(game, "pi", (q,) * r)
+        rvals = _cells(game, "R", (q,) * r + (a,) * r)
     elif isinstance(game, PcpGame):
         kind, counts = KIND_PCP, game.shape
         a = game.alphabet_size
-        triples = [tuple(t) for t in game.triples.tolist()]
-        pi = [(triples[t], v) for (t,), v in _entries(game.pi)]
-        rvals = [(triples[t] + tuple(answers), v)
-                 for (t, *answers), v in _entries(game.R.reshape(-1, a, a, a))]
+        pi, rvals = _cells(game, "pi", game.pi.shape), _cells(game, "R", (-1, a, a, a))
+        # the triple of each row in place of its row number
+        pi, rvals = ((np.hstack([game.triples[rows[:, 0]], rows[:, 1:]]), texts, ones)
+                     for rows, texts, ones in (pi, rvals))
     else:
         raise TypeError(f"cannot serialize {type(game).__name__}")
 
     lines = [f"format_version {FORMAT_VERSION}", f"kind {kind}", f"mode {game.mode}",
              "counts " + " ".join(map(str, counts))]
-    for idx, v in pi:
-        lines.append("pi " + " ".join(map(str, idx)) + " " + scalars.format_scalar(v))
-    _predicate_lines(lines, rvals)
+    lines += _lines("pi", *pi[:2])
+    # predicate entries as accept lines when all of them are 1, else as
+    # rvalue lines
+    rows, texts, ones = rvals
+    lines += _lines("accept", rows) if ones else _lines("rvalue", rows, texts)
     if game.labels:
         for axis, names in sorted(game.labels.items()):
             for i, name in enumerate(names):
@@ -98,40 +138,29 @@ def serialize_game(game):
     return "\n".join(lines) + "\n"
 
 
-def _predicate_lines(lines, rvals):
-    """Append the nonzero predicate entries ``(index tuple, value)``: as
-    ``accept`` lines when all of them are 1, else as ``rvalue`` lines."""
-    binary = all(v == 1 for _, v in rvals)
-    for idx, v in rvals:
-        if binary:
-            lines.append("accept " + " ".join(map(str, idx)))
-        else:
-            lines.append("rvalue " + " ".join(map(str, idx)) + " "
-                         + scalars.format_scalar(v))
-
-
 def parse_game(text):
     """Parse and validate a game file; raises ParseError with line numbers
     and ValueError naming the violated invariant."""
     header = {}
-    pi_entries = []
-    r_entries = []
+    pi_lines = []
+    r_lines = []
     labels = {}
     meta = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        token, _, rest = raw.strip().partition(" ")
+        if token in ("accept", "rvalue"):
+            r_lines.append((token, rest, line_no))
             continue
-        token, _, rest = line.partition(" ")
+        if token == "pi":
+            pi_lines.append((token, rest, line_no))
+            continue
+        if not token or token.startswith("#"):
+            continue
         rest = rest.strip()
         if token in ("format_version", "kind", "mode", "counts"):
             if token in header:
                 raise ParseError(line_no, f"duplicate {token} line")
             header[token] = (rest, line_no)
-        elif token == "pi":
-            pi_entries.append((rest.split(), line_no))
-        elif token in ("accept", "rvalue"):
-            r_entries.append((token, rest.split(), line_no))
         elif token == "label":
             parts = rest.split(maxsplit=2)
             if len(parts) < 3:
@@ -172,16 +201,6 @@ def parse_game(text):
         label_tuples = {axis: [d.get(i, "") for i in range(max(d) + 1)]
                         for axis, d in labels.items()}
 
-    zero, one = scalars.zero(mode), scalars.one(mode)
-
-    def parse_indices(parts, expect, line_no):
-        if len(parts) != expect:
-            raise ParseError(line_no, f"expected {expect} fields, got {len(parts)}")
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(line_no, "indices must be integers") from None
-
     if kind == KIND_TWO_PROVER:
         if len(counts) != 4:
             raise ParseError(counts_line, "two-prover counts need 4 integers")
@@ -202,42 +221,111 @@ def parse_game(text):
     else:
         raise ParseError(kind_line, f"unknown kind {kind!r}")
 
-    # dense tables, or for PCP games maps from index tuples; a later line
-    # overrides an earlier one
-    if kind == KIND_PCP:
-        pi, R = {}, {}
-    else:
-        pi, R = scalars.zeros(pi_dims, mode), scalars.zeros(r_dims, mode)
-    for parts, ln in pi_entries:
-        idx = parse_indices(parts[:-1], len(pi_dims), ln)
-        _check_range(idx, pi_dims, ln)
-        pi[tuple(idx)] = _parse_value(parts[-1], mode, ln)
-    for token, parts, ln in r_entries:
-        idx = parse_indices(parts if token == "accept" else parts[:-1], len(r_dims), ln)
-        _check_range(idx, r_dims, ln)
-        R[tuple(idx)] = one if token == "accept" else _parse_value(parts[-1], mode, ln)
+    # dense tables, allocated before any line is read (PCP games get theirs
+    # once the triples are known)
+    dtype = np.int64 if mode == scalars.RATIONAL else float
+    if kind != KIND_PCP:
+        pi, R = np.zeros(pi_dims, dtype), np.zeros(r_dims, dtype)
+    pi_idx, *pi_values = _index_lines(pi_lines, pi_dims, mode)
+    r_idx, *r_values = _index_lines(r_lines, r_dims, mode)
 
     if kind == KIND_TWO_PROVER:
-        game = TwoProverGame(q1, q2, a1, a2, pi, R, mode, labels=label_tuples,
-                             meta=meta)
+        game = TwoProverGame(q1, q2, a1, a2, _fill(pi, _flat(pi_idx, pi_dims), *pi_values),
+                             _fill(R, _flat(r_idx, r_dims), *r_values), mode,
+                             labels=label_tuples, meta=meta)
     elif kind == KIND_MULTI_ROUND:
-        game = MultiRoundGame(q, a, r, pi.ravel(), R.ravel(), mode,
+        game = MultiRoundGame(q, a, r, _fill(pi.ravel(), _flat(pi_idx, pi_dims), *pi_values),
+                              _fill(R.ravel(), _flat(r_idx, r_dims), *r_values), mode,
                               labels=label_tuples, meta=meta)
     else:
-        # one row per triple named by a pi or a predicate line
-        triples = sorted(set(pi) | {idx[:3] for idx in R})
-        row_of = {t: i for i, t in enumerate(triples)}
-        rows = scalars.zeros((len(triples), a, a, a), mode)
-        for idx, v in R.items():
-            rows[(row_of[idx[:3]],) + idx[3:]] = v
-        game = PcpGame(q, a, triples, [pi.get(t, zero) for t in triples],
-                       rows.reshape(len(triples), a**3), mode,
-                       labels=label_tuples, meta=meta)
+        # one row per triple named by a pi or a predicate line, in sorted order
+        triples, row = np.unique(np.concatenate([pi_idx, r_idx[:, :3]]), axis=0,
+                                 return_inverse=True)
+        row = row.reshape(-1)
+        pi = np.zeros(len(triples), dtype)
+        R = np.zeros((len(triples), a, a, a), dtype).reshape(len(triples), a**3)
+        r_flat = row[len(pi_idx):] * a**3 + _flat(r_idx[:, 3:], [a] * 3)
+        game = PcpGame(q, a, triples, _fill(pi, row[:len(pi_idx)], *pi_values),
+                       _fill(R, r_flat, *r_values), mode, labels=label_tuples, meta=meta)
 
     problems = validate(game)
     if problems:
         raise ValueError("invalid game: " + "; ".join(problems))
     return game
+
+
+def _index_lines(lines, dims, mode):
+    """The index rows and values of ``pi`` or predicate lines, in file order:
+    an ``(n, len(dims))`` int64 array of indices, the distinct values, and
+    the position of each line's value among them.
+
+    ``lines`` holds ``(token, rest, line_no)``: an ``accept`` line names a
+    cell with value 1, any other line a cell and its value.  Lines written
+    as ``serialize_game`` writes them are read all at once; when any line
+    is not, or has an error, they are read one by one, and the first bad
+    line raises its ``ParseError``.
+    """
+    k = len(dims)
+    blob = "\n".join(rest + " 1" if token == "accept" else rest for token, rest, _ in lines)
+    # every line must be k indices of at most 18 digits (so no int64
+    # overflow) and a value, one space apart; searching for a line that is
+    # not keeps no state from line to line, as one match over all would
+    if not re.search(rf"^(?!(?:[0-9]{{1,18}} ){{{k}}}\S+$)", blob, re.M):
+        tokens = blob.split()
+        texts = tokens[k::k + 1]
+        del tokens[k::k + 1]
+        idx = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(len(lines), k)
+        distinct = dict.fromkeys(texts)
+        try:
+            values = [_parse_value(t, mode, None) for t in distinct]
+        except ParseError:  # reported below, with its line
+            values = None
+        if values is not None and (idx < dims).all():
+            position = {t: i for i, t in enumerate(distinct)}
+            return idx, values, np.fromiter(map(position.__getitem__, texts), np.int64, len(texts))
+    rows, values = [], []
+    for token, rest, ln in lines:
+        parts = rest.split()
+        fields = parts if token == "accept" else parts[:-1]
+        if len(fields) != k:
+            raise ParseError(ln, f"expected {k} fields, got {len(fields)}")
+        try:
+            row = [int(p) for p in fields]
+        except ValueError:
+            raise ParseError(ln, "indices must be integers") from None
+        _check_range(row, dims, ln)
+        rows.append(row)
+        values.append(scalars.one(mode) if token == "accept"
+                      else _parse_value(parts[-1], mode, ln))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k), values, np.arange(len(values))
+
+
+def _flat(idx, dims):
+    """Row-major flat cell of each index row of a ``dims`` table."""
+    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
+    return idx @ np.array(strides, dtype=np.int64)
+
+
+def _fill(table, flat, values, which):
+    """``table``, all zeros, with ``values[which[i]]`` at flat cell
+    ``flat[i]``; of several lines naming one cell the last one wins.
+
+    A float table comes back filled.  An int64 table stands for a rational
+    one, whose ``Fraction`` values become numerators over their common
+    denominator; it comes back as its ``scalars.IntegerForm``.
+    """
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    if table.dtype == float:
+        table.flat[flat[last]] = np.array(values, dtype=float)[which[last]]
+        return table
+    den = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    try:
+        column = np.array(scaled, dtype=np.int64)
+    except OverflowError:
+        column, table = np.array(scaled, dtype=object), table.astype(object)
+    table.flat[flat[last]] = column[which[last]]
+    return scalars.IntegerForm(table, den)
 
 
 def _check_range(idx, limits, line_no):

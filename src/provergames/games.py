@@ -18,6 +18,10 @@ clauses share a variable triple (``transforms.pcp_from_1in3``).
 
 Every game and strategy holds its tables as read-only numpy arrays:
 float64 in float mode, an object array of ``Fraction``s in rational mode.
+A rational game also keeps each table's integer form
+(``scalars.IntegerForm``, see ``integer_form``), which its readers
+(``validate``, ``==``, ``to_float``, the files, the exact values and
+``parallel_repeat``) use instead of the ``Fraction``s.
 Index tuples keep the flat lexicographic layout throughout: a multi-round
 game's ``pi`` is over Q^r and its ``R`` over Q^r x A^r (``qflat * A**r +
 aflat``), a multi-round strategy's round-k table is ``(Q^k * A^(k-1), A)``,
@@ -102,6 +106,77 @@ def _index_rows(data, width):
     return rows
 
 
+class _Game:
+    """What the three game models share: rational ``pi`` and ``R`` that keep
+    their integer forms, and equality on them."""
+
+    #: integer index arrays compared before the tables
+    _ROWS = ()
+
+    def _set_tables(self):
+        """Store ``pi`` and ``R`` as read-only tables.  Either may be given
+        as its ``scalars.IntegerForm``, in rational mode; the ``Fraction``
+        table is then built from it and the form kept."""
+        object.__setattr__(self, "_forms", {})
+        for name in ("pi", "R"):
+            data = getattr(self, name)
+            if isinstance(data, scalars.IntegerForm):
+                if self.mode != scalars.RATIONAL:
+                    raise scalars.ModeError(f"an integer form of {name} in {self.mode} mode")
+                self._forms[name] = data
+                table = scalars.rationals(data.num, data.den)
+            else:
+                table = _table(data, self.mode)
+            object.__setattr__(self, name, table)
+
+    def integer_form(self, name):
+        """The ``scalars.IntegerForm`` of table ``name`` (``"pi"`` or
+        ``"R"``): the one the game was built with, else derived from the
+        ``Fraction``s on first use and kept.  None in float mode and for a
+        table holding an entry that is not a ``Fraction`` or an int, which
+        ``validate`` reports."""
+        forms = self._forms
+        if name not in forms:
+            form = None
+            if self.mode == scalars.RATIONAL:
+                try:
+                    form = scalars.IntegerForm.of(getattr(self, name))
+                except scalars.ModeError:
+                    pass
+            forms[name] = form
+        return forms[name]
+
+    def exact_forms(self):
+        """The integer forms of ``pi`` and ``R``; ``ModeError`` when either
+        table has none."""
+        forms = self.integer_form("pi"), self.integer_form("R")
+        if any(form is None for form in forms):
+            raise scalars.ModeError("table holds an entry that is not a Fraction or an int")
+        return forms
+
+    def _floats(self, name):
+        """Table ``name`` as float64, every entry ``float(v)``."""
+        form = self.integer_form(name)
+        return getattr(self, name).astype(float) if form is None else form.floats()
+
+    def __eq__(self, other):
+        """Equal shape, mode and tables; labels and meta do not count.
+        Tables that both have integer forms compare on them, any other
+        pair entry by entry."""
+        if type(self) is not type(other):
+            return NotImplemented
+        return (self.shape == other.shape and self.mode == other.mode
+                and all(np.array_equal(getattr(self, n), getattr(other, n))
+                        for n in self._ROWS)
+                and all(self._same_table(other, n) for n in ("pi", "R")))
+
+    def _same_table(self, other, name):
+        mine, theirs = self.integer_form(name), other.integer_form(name)
+        if mine is None or theirs is None:
+            return np.array_equal(getattr(self, name), getattr(other, name))
+        return mine == theirs
+
+
 def _same_tables(a, b, names):
     """Equal shape, mode and table entries; labels and meta do not count."""
     if type(a) is not type(b):
@@ -117,12 +192,12 @@ def _same_tables(a, b, names):
 
 
 @dataclass(frozen=True, eq=False)
-class TwoProverGame:
+class TwoProverGame(_Game):
     """The six-tuple (Q1, Q2, A1, A2, R, pi) of a two-prover one-round game.
 
     ``pi`` is a ``(Q1, Q2)`` array and ``R`` a ``(Q1, Q2, A1, A2)`` array
     with entries in [0, 1]; both are read-only.  The constructor also takes
-    nested lists or tuples.
+    nested lists or tuples, or in rational mode a table's integer form.
     """
 
     q1_count: int
@@ -140,11 +215,7 @@ class TwoProverGame:
         check_table_size(self.q1_count * self.q2_count
                          * (1 + self.a1_count * self.a2_count),
                          "two-prover game tables")
-        object.__setattr__(self, "pi", _table(self.pi, self.mode))
-        object.__setattr__(self, "R", _table(self.R, self.mode))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("pi", "R"))
+        self._set_tables()
 
     @property
     def shape(self):
@@ -157,19 +228,19 @@ class TwoProverGame:
         if self.mode == scalars.FLOAT:
             return self
         return TwoProverGame(self.q1_count, self.q2_count, self.a1_count,
-                             self.a2_count, scalars.floats(self.pi),
-                             scalars.floats(self.R), scalars.FLOAT,
-                             self.labels, self.meta)
+                             self.a2_count, self._floats("pi"), self._floats("R"),
+                             scalars.FLOAT, self.labels, self.meta)
 
 
 @dataclass(frozen=True, eq=False)
-class MultiRoundGame:
+class MultiRoundGame(_Game):
     """A single-prover game with ``rounds`` nonadaptive questions.
 
     ``pi`` is a ``(Q^r,)`` array over question tuples (lexicographic index)
     and ``R`` a ``(Q^r * A^r,)`` array with index ``qflat * A**r + aflat``;
     both are read-only, and ``R.reshape((Q,) * r + (A,) * r)`` is the same
-    table indexed by components.  The constructor also takes flat lists.
+    table indexed by components.  The constructor also takes flat lists,
+    or in rational mode a table's integer form.
     """
 
     q_count: int
@@ -186,11 +257,7 @@ class MultiRoundGame:
         check_table_size(self.q_count**self.rounds
                          * (1 + self.a_count**self.rounds),
                          "multi-round game tables")
-        object.__setattr__(self, "pi", _table(self.pi, self.mode))
-        object.__setattr__(self, "R", _table(self.R, self.mode))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("pi", "R"))
+        self._set_tables()
 
     @property
     def shape(self):
@@ -198,14 +265,17 @@ class MultiRoundGame:
 
 
 @dataclass(frozen=True, eq=False)
-class PcpGame:
+class PcpGame(_Game):
     """A three-query PCP game over ``positions`` proof cells.
 
     ``triples`` is a ``(T, 3)`` integer array of strictly increasing rows,
     sorted and without repeats; ``pi`` is a ``(T,)`` array of their
     probabilities and ``R`` a ``(T, A^3)`` array of their predicate rows
-    (lexicographic in (a1, a2, a3)).  All three are read-only.
+    (lexicographic in (a1, a2, a3)).  All three are read-only; ``pi`` and
+    ``R`` may be given as integer forms in rational mode.
     """
+
+    _ROWS = ("triples",)
 
     positions: int
     alphabet_size: int
@@ -221,11 +291,7 @@ class PcpGame:
         object.__setattr__(self, "triples", _index_rows(self.triples, 3))
         check_table_size(len(self.triples) * (1 + self.alphabet_size**3),
                          "PCP game tables")
-        object.__setattr__(self, "pi", _table(self.pi, self.mode))
-        object.__setattr__(self, "R", _table(self.R, self.mode))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("triples", "pi", "R"))
+        self._set_tables()
 
     @property
     def shape(self):
@@ -238,7 +304,7 @@ class PcpGame:
         if self.mode == scalars.FLOAT:
             return self
         return PcpGame(self.positions, self.alphabet_size, self.triples,
-                       scalars.floats(self.pi), scalars.floats(self.R),
+                       self._floats("pi"), self._floats("R"),
                        scalars.FLOAT, self.labels, self.meta)
 
 
@@ -414,14 +480,17 @@ def _check_dist(values, mode, where, report, form=None):
         report.append(f"{where}: normalization violated, sum = {shown}")
 
 
-def _check_mode_entries(values, mode, where, report):
+def _check_mode_entries(values, form, mode, where, report):
     """Report the first entry that is not a scalar of ``mode``.
 
     Returns the table's ``(num, den)`` for the range and sum checks: a
-    rational table whose entries all pass becomes integer numerators over
-    one denominator (``scalars.integers``), so those checks make no
-    ``Fraction``; any other table stays as it is, with ``den`` None.
+    table with an integer form ``form`` has only rational entries and is
+    checked on its numerators, widened for a sum of all of them, so those
+    checks make no ``Fraction``; any other table stays as it is, with
+    ``den`` None.
     """
+    if form is not None:
+        return form.widen(terms=values.size), form.den
     wrong = values[_wrong_mode(values, mode)]
     if wrong.size:
         v = wrong[0]
@@ -430,8 +499,6 @@ def _check_mode_entries(values, mode, where, report):
             report.append(f"{where}: entry {v!r} does not match mode {mode}")
         except scalars.ModeError:
             report.append(f"{where}: entry {v!r} is not a scalar")
-    elif mode == scalars.RATIONAL:
-        return scalars.integers(values, terms=values.size)
     return values, None
 
 
@@ -450,6 +517,20 @@ def _increasing(triples, positions):
     """Mask of the ``(n, 3)`` rows with 0 <= t0 < t1 < t2 < positions."""
     t = triples
     return (0 <= t[:, 0]) & (t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2]) & (t[:, 2] < positions)
+
+
+def _check_tables(game, report):
+    """Mode, distribution and range checks of a game's ``pi`` and ``R``, on
+    their integer forms where they have them."""
+    form = _check_mode_entries(game.pi, game.integer_form("pi"), game.mode, "pi", report)
+    _check_dist(game.pi, game.mode, "pi", report, form)
+    num, den = _check_mode_entries(game.R, game.integer_form("R"), game.mode, "R", report)
+    if not isinstance(game, PcpGame):
+        _check_predicate(game.R, "R", report, (num, den))
+        return
+    for i in np.flatnonzero(_outside_unit(num, den).any(axis=1)).tolist():
+        _check_predicate(game.R[i], f"R[{tuple(game.triples[i].tolist())}]", report,
+                         (num[i], den))
 
 
 def _validate_pcp(game, report):
@@ -473,11 +554,7 @@ def _validate_pcp(game, report):
     if game.R.shape != (len(t), game.alphabet_size**3):
         report.append("R dimensions do not match the triples and A^3")
         return
-    form = _check_mode_entries(game.pi, game.mode, "pi", report)
-    _check_dist(game.pi, game.mode, "pi", report, form)
-    num, den = _check_mode_entries(game.R, game.mode, "R", report)
-    for i in np.flatnonzero(_outside_unit(num, den).any(axis=1)).tolist():
-        _check_predicate(game.R[i], f"R[{rows[i]}]", report, (num[i], den))
+    _check_tables(game, report)
 
 
 def validate(obj):
@@ -494,10 +571,7 @@ def validate(obj):
         if obj.R.shape != obj.shape:
             report.append("R dimensions do not match counts")
             return report
-        form = _check_mode_entries(obj.pi, obj.mode, "pi", report)
-        _check_dist(obj.pi, obj.mode, "pi", report, form)
-        form = _check_mode_entries(obj.R, obj.mode, "R", report)
-        _check_predicate(obj.R, "R", report, form)
+        _check_tables(obj, report)
     elif isinstance(obj, MultiRoundGame):
         nq, na = obj.q_count**obj.rounds, obj.a_count**obj.rounds
         if obj.q_count < 1 or obj.a_count < 1 or obj.rounds < 1:
@@ -508,10 +582,7 @@ def validate(obj):
         if obj.R.shape != (nq * na,):
             report.append("R length does not match Q^r * A^r")
             return report
-        form = _check_mode_entries(obj.pi, obj.mode, "pi", report)
-        _check_dist(obj.pi, obj.mode, "pi", report, form)
-        form = _check_mode_entries(obj.R, obj.mode, "R", report)
-        _check_predicate(obj.R, "R", report, form)
+        _check_tables(obj, report)
     elif isinstance(obj, PcpGame):
         _validate_pcp(obj, report)
     elif isinstance(obj, BipartiteStrategy):
@@ -524,7 +595,7 @@ def validate(obj):
         suspect = ((_wrong_mode(theta, obj.mode) | (theta < 0)).any(axis=(2, 3))
                    | _off_one(scalars.total(theta, obj.mode, axis=(2, 3)), obj.mode))
         for q1, q2 in np.argwhere(suspect).tolist():
-            _check_mode_entries(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
+            _check_mode_entries(theta[q1, q2], None, obj.mode, f"theta[{q1}][{q2}]", report)
             _check_dist(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
     elif isinstance(obj, MultiRoundStrategy):
         if len(obj.tables) != obj.rounds:
@@ -639,8 +710,8 @@ def is_no_signaling(strategy, tol=None):
     theta, den = strategy.theta, None
     if mode == scalars.RATIONAL:
         # a violation is the difference of two sums of up to max(A1, A2) entries
-        theta, den = scalars.integers(
-            theta, terms=2 * max(strategy.a1_count, strategy.a2_count))
+        form = scalars.IntegerForm.of(theta)
+        theta, den = form.widen(terms=2 * max(strategy.a1_count, strategy.a2_count)), form.den
     # each prover's marginal, compared with the one at the other prover's
     # first question
     m1 = np.sum(theta, axis=3, initial=0)  # [q1][q2][a1]

@@ -646,6 +646,15 @@ def verify_lemma_distance(m_povm, n_povm, phi):
     return chain
 
 
+def position_commutators(tables):
+    """``(Q, Q)``: for each pair of position labels, the largest entry of a
+    commutator ``[X[a]^z, X[b]^w]`` over their outcomes.  A selection move
+    can change the outcome distribution only where it is nonzero."""
+    x = tables.X
+    xa, xb = x[:, :, None, None], x[None, None]
+    return np.abs(xa @ xb - xb @ xa).max(axis=(1, 3, 4, 5))
+
+
 def verify_claim_selection(tables, t_list, i):
     """Selection-move bound: pulling the i-th operator (1-based) of a
     product to act first changes the outcome distribution by at most

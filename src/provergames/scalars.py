@@ -7,10 +7,13 @@ arrays of ``Fraction``s, or float64.  Mixing the two modes in one operation
 is an error: exactness claims hold only when everything stays rational, and
 quantum-derived tables can never be rational.
 
-Readers that compare, sum or convert a whole rational table do so on its
-integer form (``integers``): numerators over one common denominator, the
-way a rational matrix is an integer matrix plus a denominator.  Tables are
-still stored as ``Fraction``s; ``rationals`` turns numerators back.
+A rational table also has an integer form (``IntegerForm``): numerators
+over one common denominator in lowest terms, the way a rational matrix is
+an integer matrix plus a denominator.  Games keep their tables' forms:
+code that computes numerators hands the form in and the ``Fraction`` table
+is built from it (``rationals``, one ``Fraction`` per distinct numerator);
+a table given as ``Fraction``s derives its form once, on first use.
+Readers that compare, sum, convert or write a whole table read the form.
 """
 
 from __future__ import annotations
@@ -62,61 +65,102 @@ def total(values, mode, axis=None):
 _EXACT_TYPES = {Fraction, int, bool}
 
 
-def integers(table, terms=1, power=1):
-    """``(num, den)`` with ``table == num / den`` entry by entry: integer
-    numerators over the lcm ``den`` of the entries' denominators.
+class IntegerForm:
+    """A rational table as integer numerators over one denominator.
 
-    ``num`` is int64 when every sum of ``terms`` products of ``power``
-    numbers, each no larger than ``max(|num|, den)``, fits: ``power`` times
-    that bound's bit length plus the bit length of ``terms`` below 63,
-    decided before any arithmetic.  Otherwise it is an object array of
-    Python ints.  Raises ``ModeError`` on an entry that is not a
-    ``Fraction`` or a Python int.
+    ``num`` is a read-only array and ``den`` a positive Python int with
+    ``table == num / den`` entry by entry, in lowest terms: ``den`` is the
+    lcm of the entries' reduced denominators, so ``gcd(den, *num) == 1``
+    and two tables are equal exactly when their forms are.  ``num`` is
+    int64 when every numerator fits, else an object array of Python ints,
+    and ``bound`` is ``max(den, max |num|)``, from which ``widen`` decides
+    overflow before any arithmetic.  The constructor takes any integer
+    numerators over a positive ``den`` and reduces them.
     """
-    flat = np.asarray(table).ravel().tolist()
-    if not set(map(type, flat)) <= _EXACT_TYPES:
-        raise ModeError("table holds an entry that is not a Fraction or an int")
-    nums = [v.numerator for v in flat]
-    dens = [v.denominator for v in flat]
-    den = math.lcm(*set(dens))
-    num = [n * (den // d) for n, d in zip(nums, dens)]
-    try:
-        exact = np.array(num, dtype=np.int64)
-    except OverflowError:
-        exact = None
-    if exact is not None:
-        bound = max(den, int(exact.max(initial=0)), -int(exact.min(initial=0)))
-        if power * bound.bit_length() + terms.bit_length() < 63:
-            return exact.reshape(np.shape(table)), den
-    return np.array(num, dtype=object).reshape(np.shape(table)), den
+
+    __slots__ = ("num", "den", "bound")
+
+    def __init__(self, num, den):
+        num = np.asarray(num)
+        if num.dtype != object:
+            num = num.astype(np.int64, copy=False)
+        g = math.gcd(den, *(num.ravel().tolist() if num.dtype == object
+                            else [int(np.gcd.reduce(num, axis=None))]))
+        if g > 1:
+            den //= g
+            if num.any():  # else g is den, which may not fit int64
+                num = num // g
+        lo, hi = int(num.min(initial=0)), int(num.max(initial=0))
+        num = np.array(num, dtype=np.int64 if -2**63 <= lo and hi < 2**63 else object)
+        num.flags.writeable = False
+        self.num, self.den, self.bound = num, den, max(den, hi, -lo)
+
+    @classmethod
+    def of(cls, table):
+        """The form of a table of ``Fraction``s and ints; ``ModeError`` on
+        any other entry."""
+        flat = np.asarray(table).ravel().tolist()
+        if not set(map(type, flat)) <= _EXACT_TYPES:
+            raise ModeError("table holds an entry that is not a Fraction or an int")
+        dens = [v.denominator for v in flat]
+        den = math.lcm(*set(dens))
+        num = [v.numerator * (den // d) for v, d in zip(flat, dens)]
+        try:
+            num = np.array(num, dtype=np.int64)
+        except OverflowError:
+            num = np.array(num, dtype=object)
+        return cls(num.reshape(np.shape(table)), den)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerForm):
+            return NotImplemented
+        return self.den == other.den and np.array_equal(self.num, other.num)
+
+    def widen(self, terms=1, power=1):
+        """``num`` for a computation that sums ``terms`` products of
+        ``power`` numbers each no larger than ``bound``: as int64 when
+        ``power`` times the bit length of ``bound`` plus the bit length of
+        ``terms`` is below 63, else as Python ints."""
+        if (self.num.dtype != object
+                and power * self.bound.bit_length() + terms.bit_length() < 63):
+            return self.num
+        return self.num.astype(object)
+
+    def floats(self):
+        """The table as float64, every entry ``float(Fraction)``.
+
+        When every numerator and the denominator are below 2**53 they are
+        exact doubles, and their correctly rounded quotient is
+        ``float(Fraction)`` bit for bit: one array division.  Otherwise each
+        distinct numerator is divided as a Python int, which rounds
+        correctly too.
+        """
+        if self.bound < 2**53:
+            return self.num / self.den
+        values, inverse = np.unique(self.num, return_inverse=True)
+        quotients = np.array([int(v) / self.den for v in values], dtype=float)
+        return quotients[inverse.reshape(self.num.shape)]
+
+
+#: int64 numerators spanning fewer values than this are looked up by
+#: offset, with no sort
+_LOOKUP_SPAN = 64
 
 
 def rationals(num, den):
     """The read-only ``Fraction`` table ``num / den``, with one ``Fraction``
-    made per distinct numerator."""
-    values, inverse = np.unique(num, return_inverse=True)
+    made per distinct numerator, or per numerator in a span of fewer than
+    ``_LOOKUP_SPAN``."""
+    num = np.asarray(num)
+    lo, hi = int(num.min(initial=0)), int(num.max(initial=0))
+    if num.dtype != object and hi - lo < _LOOKUP_SPAN:
+        values, inverse = range(lo, hi + 1), num - lo
+    else:
+        values, inverse = np.unique(num, return_inverse=True)
     fractions = np.array([Fraction(int(v), den) for v in values], dtype=object)
     table = fractions[inverse.reshape(np.shape(num))]
     table.flags.writeable = False
     return table
-
-
-def floats(table):
-    """A rational table as float64, every entry ``float(Fraction)``.
-
-    When every numerator and the denominator are below 2**53 they are exact
-    doubles, and their correctly rounded quotient is ``float(Fraction)``
-    bit for bit: one array division.  Otherwise, or for a table holding an
-    entry that is not rational, entry by entry.
-    """
-    try:
-        num, den = integers(table)
-    except ModeError:
-        return table.astype(float)
-    if (den < 2**53 and num.dtype != object
-            and int(np.abs(num).max(initial=0)) < 2**53):
-        return num / den
-    return table.astype(float)
 
 
 def as_python(value):

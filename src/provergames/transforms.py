@@ -223,9 +223,9 @@ def oracularize_pcp_dummy(game):
 def parallel_repeat(game, n):
     """n-fold parallel repetition: product questions, all copies must win.
 
-    A rational table is repeated on its integer numerators, over its
-    denominator to the n-th power, and only the result's distinct entries
-    become ``Fraction``s.
+    A rational table is repeated on its integer form's numerators, over its
+    denominator to the n-th power; the result keeps that form, and only its
+    distinct entries become ``Fraction``s.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -236,14 +236,12 @@ def parallel_repeat(game, n):
             "base_counts": [game.q1_count, game.q2_count,
                             game.a1_count, game.a2_count]}
 
-    def repeat(table):
-        if game.mode == scalars.FLOAT:
-            return _repeat_table(table, n)
-        num, den = scalars.integers(table, power=n)
-        return scalars.rationals(_repeat_table(num, n), den**n)
-
-    return TwoProverGame(q1n, q2n, a1n, a2n, repeat(game.pi), repeat(game.R),
-                         game.mode, meta=meta)
+    if game.mode == scalars.FLOAT:
+        pi, R = (_repeat_table(t, n) for t in (game.pi, game.R))
+    else:
+        pi, R = (scalars.IntegerForm(_repeat_table(form.widen(power=n), n), form.den**n)
+                 for form in game.exact_forms())
+    return TwoProverGame(q1n, q2n, a1n, a2n, pi, R, game.mode, meta=meta)
 
 
 def _repeat_table(table, n):

@@ -40,21 +40,20 @@ class ValueResult:
 CLASSICAL_BATCH_ENTRIES = 1 << 18
 
 
-def _weights(pi, R, mode, terms):
-    """``(pi * R, den)``: the weights to score and what turns a score into
-    the value.
+def _scored_tables(game, terms):
+    """``(pi, R, den)``: the tables whose products are scored, and what
+    turns a score into the value.
 
-    In rational mode the weights are integer numerators over the common
-    denominator ``den`` (``scalars.integers``), int64 unless a sum of
-    ``terms`` of them could overflow; scaling by ``den`` keeps every
+    In rational mode they are the numerators of the game's integer forms,
+    over the common denominator ``den`` of their products, int64 unless a
+    sum of ``terms`` products could overflow; scaling by ``den`` keeps every
     comparison, so the argmaxes and ties are those of the exact weights.
-    In float mode they are the float products and ``den`` is None.
+    In float mode they are the tables themselves and ``den`` is None.
     """
-    if mode == scalars.FLOAT:
-        return pi * R, None
-    (pi_num, pi_den), (r_num, r_den) = (scalars.integers(t, terms, power=2)
-                                        for t in (pi, R))
-    return pi_num * r_num, pi_den * r_den
+    if game.mode == scalars.FLOAT:
+        return game.pi, game.R, None
+    pi, R = game.exact_forms()
+    return pi.widen(terms, power=2), R.widen(terms, power=2), pi.den * R.den
 
 
 def _value(score, den):
@@ -77,7 +76,7 @@ def classical_value(game):
     is linear in each prover's table.  Tables are scored in batches, in
     lexicographic order; ties keep the first table and the smallest
     best-response answer.  A rational game is scored on integer weights
-    over one denominator (``_weights``).
+    over one denominator (``_scored_tables``).
     """
     cost1 = game.a1_count**game.q1_count
     cost2 = game.a2_count**game.q2_count
@@ -88,8 +87,8 @@ def classical_value(game):
 
     # weight[q][p][a][b]: q, a belong to the enumerated prover, p, b to the
     # responding one
-    weight, den = _weights(game.pi[:, :, None, None], game.R, game.mode,
-                           game.q1_count * game.q2_count)
+    pi, R, den = _scored_tables(game, game.q1_count * game.q2_count)
+    weight = pi[:, :, None, None] * R
     if not enumerate_first:
         weight = weight.transpose(1, 0, 3, 2)
     q_count, p_count, a_count, b_count = weight.shape
@@ -117,12 +116,13 @@ def multi_round_value(game):
     ``(Q^(k-1), Q, A^(k-1), A)``, one step maximizes over the last answer
     and sums over the last question.  The witness is the deterministic
     strategy of the argmaxes (ties keep the smallest answer).  A rational
-    game is scored on integer weights over one denominator (``_weights``).
+    game is scored on integer weights over one denominator
+    (``_scored_tables``).
     """
     nq, na, r = game.q_count, game.a_count, game.rounds
     check_table_size(2 * nq**r * na**r, "multi_round_value tables")
-    level, den = _weights(game.pi[:, None], game.R.reshape(nq**r, na**r),
-                          game.mode, nq**r)
+    pi, R, den = _scored_tables(game, nq**r)
+    level = pi[:, None] * R.reshape(nq**r, na**r)
     tables = []
     for k in range(r - 1, -1, -1):
         block = level.reshape(nq**k, nq, na**k, na)
@@ -142,11 +142,12 @@ def pcp_value(game):
     Enumerates A^Q in lexicographic batches of ``digit_table`` rows and
     scores each batch against the support triples at once; ties keep the
     first proof.  A rational game is scored on integer weights over one
-    denominator (``_weights``).
+    denominator (``_scored_tables``).
     """
     sup = game.pi > 0
     triples = game.triples[sup]
-    weight, den = _weights(game.pi[sup][:, None], game.R[sup], game.mode, len(triples))
+    pi, R, den = _scored_tables(game, len(triples))
+    weight = pi[sup][:, None] * R[sup]
     a, n = game.alphabet_size, game.positions
     check_table_size(a**n * max(1, len(triples)), "pcp_value enumeration")
     batch = max(1, CLASSICAL_BATCH_ENTRIES // max(1, len(triples)))

@@ -1,5 +1,6 @@
 """Game/formula file formats and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from provergames import cli, files, rounding
@@ -79,6 +81,68 @@ def test_parse_rejects_float_in_rational_mode():
 def test_parse_rejects_unknown_directive():
     with pytest.raises(files.ParseError, match="unknown directive"):
         files.parse_game("format_version 1\nkind pcp3\ncounts 3 2\nbogus 1\n")
+
+
+def _two_prover_file(body, mode="rational", sep=" "):
+    """A 2x2x2x2 game file; ``sep`` goes between the fields of the body's
+    lines (two spaces make the parser read them one by one)."""
+    return ("format_version 1\nkind two_prover_one_round\nmode " + mode
+            + "\ncounts 2 2 2 2\n" + body.replace(" ", sep))
+
+
+_SEPARATORS = pytest.mark.parametrize("sep", [" ", "  "], ids=["bulk", "line-by-line"])
+
+
+@_SEPARATORS
+def test_parse_later_line_overrides_earlier(sep):
+    def parse(body, mode="rational", header=_two_prover_file):
+        return files.parse_game(header(body, mode, sep))
+
+    g = parse("pi 0 0 1/4\npi 1 1 1/2\npi 0 0 1/2\naccept 0 0 0 0\n")
+    assert g.pi.tolist() == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    g = parse("pi 0 0 1\naccept 0 0 1 1\nrvalue 0 0 1 1 1/3\n")
+    assert g.R[0, 0, 1, 1] == Fraction(1, 3)
+    g = parse("pi 0 0 1\nrvalue 0 0 1 1 1/3\naccept 0 0 1 1\n")
+    assert g.R[0, 0, 1, 1] == 1
+    # one cell named many times between others: the last line wins
+    body = "pi 0 0 1\n" + "".join(f"rvalue 0 0 1 1 {k}/50\naccept 0 0 {k % 2} 0\n"
+                                  for k in range(50))
+    g = parse(body)
+    assert g.R[0, 0, 1, 1] == Fraction(49, 50)
+    assert g.R[0, 0].tolist() == [[1, 0], [1, Fraction(49, 50)]]
+    g = parse("pi 0 0 0.25\npi 1 1 0.5\npi 0 0 0.5\nrvalue 0 0 1 1 0.5\naccept 0 0 1 1\n",
+              mode="float")
+    assert g.pi.tolist() == [[0.5, 0.0], [0.0, 0.5]] and g.R[0, 0, 1, 1] == 1.0
+
+    def pcp(body, mode, sep):
+        return ("format_version 1\nkind pcp3\nmode rational\ncounts 4 2\n"
+                + body.replace(" ", sep))
+
+    g = parse("pi 0 1 2 1/4\npi 1 2 3 1/2\npi 0 1 2 1/2\nrvalue 1 2 3 0 0 1 1/2\n"
+              "accept 0 1 2 1 1 1\naccept 1 2 3 0 0 1\nrvalue 0 1 2 1 1 1 1/3\n",
+              header=pcp)
+    assert g.triples.tolist() == [[0, 1, 2], [1, 2, 3]]
+    assert g.pi.tolist() == [Fraction(1, 2), Fraction(1, 2)]
+    assert g.R[0, 7] == Fraction(1, 3) and g.R[1, 1] == 1
+
+
+@_SEPARATORS
+@pytest.mark.parametrize("body, message", [
+    ("pi 0 0 1\naccept 0 0 1 1\naccept 0 0 5 1\naccept 0 9 1 1\n",
+     "line 7: index 5 out of range [0, 2)"),
+    ("pi 0 0 1\naccept 0 0 1 1\nrvalue 0 0 1 1 x\naccept 0 7 1 1\n",
+     "line 7: bad value 'x'"),
+    ("pi 0 0 1\naccept 0 0 1\naccept 0 0 9 1\n", "line 6: expected 4 fields, got 3"),
+    ("pi 0 0 1\naccept 0 0 1 1 1\nrvalue 0 0 1 1 1/2\n", "line 6: expected 4 fields, got 5"),
+    ("pi 0 0 1\naccept 0 x 1 1\naccept 0 0 1 9\n", "line 6: indices must be integers"),
+    # the pi lines are read before the predicate lines
+    ("accept 0 0 7 1\npi 0 0 1\npi 0 3 1\n", "line 7: index 3 out of range [0, 2)"),
+    ("accept 0 0 7 1\npi 0 0 0.5\n", "line 6: float value '0.5' in a rational-mode file"),
+])
+def test_parse_error_names_the_first_bad_line(sep, body, message):
+    with pytest.raises(files.ParseError) as err:
+        files.parse_game(_two_prover_file(body, sep=sep))
+    assert str(err.value) == message
 
 
 def test_formula_round_trip_and_errors():
@@ -358,6 +422,28 @@ def test_cli_verify_suites_exit_zero():
                         "--samples", "1"]) == 0
     assert cli.run_cli(["verify", "lemma-game", "--seed", "1",
                         "--samples", "1", "--restarts", "1"]) == 0
+
+
+def test_cli_claim_selection_moves_change_the_distribution(monkeypatch, capsys):
+    assert cli.run_cli(["verify", "claim-selection", "--seed", "1", "--samples", "2",
+                        "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 6
+    for sample in ("sample 0", "sample 1"):
+        assert max(r["lhs"]["float"] for r in rows if r["name"].startswith(sample)) > 1e-6
+    # with zero distances the bound is 0, which a move that changes the
+    # distribution exceeds
+    real = rounding.com_decompose
+
+    def zero_distances(*args):
+        t = real(*args)
+        return dataclasses.replace(t, d1=np.zeros_like(t.d1), d4=np.zeros_like(t.d4))
+
+    monkeypatch.setattr(rounding, "com_decompose", zero_distances)
+    assert cli.run_cli(["verify", "claim-selection", "--seed", "1", "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: selection move changes the distribution by ")
+    assert err.rstrip().endswith("over the bound 0.0")
 
 
 def test_cli_verify_exit_one_on_perturbed_inequality(monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """Rational tables as integer numerators over one denominator: the
-``scalars.integers``/``rationals``/``floats`` helpers, and the readers
+``scalars.IntegerForm`` and ``rationals``, and the readers
 built on them against the ``Fraction`` oracles on games with mixed
 denominators."""
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provergames import scalars, values
+from provergames import files, scalars, values
 from provergames.catalog import chsh, magic_square_game
 from provergames.games import (
     MultiRoundGame,
@@ -84,6 +84,13 @@ def pcp_games(draw):
                             dtype=object).reshape(len(chosen), a**3))
 
 
+def integers(table, terms=1, power=1):
+    """``(num, den)`` of a table's integer form, ``num`` widened for
+    ``terms`` and ``power``."""
+    form = scalars.IntegerForm.of(table)
+    return form.widen(terms, power), form.den
+
+
 def assert_same_fractions(table, reference):
     reference = np.array(reference, dtype=object)
     assert table.shape == reference.shape
@@ -145,7 +152,7 @@ def test_parallel_repeat_matches_the_fraction_oracle(game, n):
 @given(two_prover_games())
 def test_integer_form_round_trips(game):
     for table in (game.pi, game.R):
-        num, den = scalars.integers(table)
+        num, den = integers(table)
         assert num.dtype == np.int64
         back = scalars.rationals(num, den)
         assert not back.flags.writeable
@@ -154,16 +161,16 @@ def test_integer_form_round_trips(game):
 
 
 def test_int64_is_chosen_while_the_bound_fits():
-    assert scalars.integers(chsh().R)[0].dtype == np.int64
+    assert integers(chsh().R)[0].dtype == np.int64
     # power * bits(max(|num|, den)) + bits(terms) against 63
-    assert scalars.integers(np.array([Fraction(1, 2**60)]))[0].dtype == np.int64
-    assert scalars.integers(np.array([Fraction(1, 2**61)]))[0].dtype == object
-    assert scalars.integers(np.array([Fraction(1, 2**59)]), terms=3)[0].dtype == np.int64
-    assert scalars.integers(np.array([Fraction(1, 2**59)]), terms=4)[0].dtype == object
-    assert scalars.integers(np.array([Fraction(1, 2**29)]), power=2)[0].dtype == np.int64
-    assert scalars.integers(np.array([Fraction(1, 2**30)]), power=2)[0].dtype == object
+    assert integers(np.array([Fraction(1, 2**60)]))[0].dtype == np.int64
+    assert integers(np.array([Fraction(1, 2**61)]))[0].dtype == object
+    assert integers(np.array([Fraction(1, 2**59)]), terms=3)[0].dtype == np.int64
+    assert integers(np.array([Fraction(1, 2**59)]), terms=4)[0].dtype == object
+    assert integers(np.array([Fraction(1, 2**29)]), power=2)[0].dtype == np.int64
+    assert integers(np.array([Fraction(1, 2**30)]), power=2)[0].dtype == object
     with pytest.raises(scalars.ModeError):
-        scalars.integers(np.array([Fraction(1, 2), 0.5], dtype=object))
+        integers(np.array([Fraction(1, 2), 0.5], dtype=object))
 
 
 def _near_2_40_game():
@@ -181,7 +188,7 @@ def _near_2_40_game():
 def test_denominators_near_2_40_take_python_ints():
     game = _near_2_40_game()
     assert validate(game) == []
-    num, den = scalars.integers(game.pi)
+    num, den = integers(game.pi)
     assert num.dtype == object and den.bit_length() > 63
     assert all(isinstance(v, int) for v in num.flat)
     assert_same_fractions(scalars.rationals(num, den), game.pi)
@@ -202,36 +209,121 @@ def _bitwise(a, b):
     return a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
+def _floats(table):
+    return scalars.IntegerForm.of(table).floats()
+
+
 def test_to_float_is_float_of_each_fraction():
     rng = random.Random(11)
     for bits in (8, 30, 52, 53, 54, 70, 120):
         table = np.array([Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1)
                           for _ in range(200)], dtype=object)
         want = np.array([float(v) for v in table])
-        assert _bitwise(scalars.floats(table), want)
+        assert _bitwise(_floats(table), want)
         # one huge denominator shared by small entries
         table = np.array([Fraction(rng.randrange(1, 50), 2**bits) for _ in range(50)],
                          dtype=object)
-        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+        assert _bitwise(_floats(table), np.array([float(v) for v in table]))
         # one odd denominator shared by entries with numerators of its size:
         # int64, but past 2**53 from 54 bits on
         den = rng.getrandbits(min(bits, 62)) | 1
         table = np.array([Fraction(rng.randrange(den), den) for _ in range(200)],
                          dtype=object)
-        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+        assert _bitwise(_floats(table), np.array([float(v) for v in table]))
         # numerators of that size over small denominators
         table = np.array([Fraction(rng.getrandbits(bits), rng.randrange(1, 8))
                           for _ in range(200)], dtype=object)
-        assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+        assert _bitwise(_floats(table), np.array([float(v) for v in table]))
     # small numerators over one denominator just past 2**60, which is no double
     den = 2**60 + 2**7 + 1
     table = np.array([Fraction(rng.randrange(1, 2**20), den) for _ in range(200)],
                      dtype=object)
-    assert scalars.integers(table)[0].dtype == np.int64
-    assert _bitwise(scalars.floats(table), np.array([float(v) for v in table]))
+    assert integers(table)[0].dtype == np.int64
+    assert _bitwise(_floats(table), np.array([float(v) for v in table]))
     game = magic_square_game()
     assert _bitwise(game.to_float().R,
                     np.array([float(v) for v in game.R.flat]).reshape(game.R.shape))
     near = _near_2_40_game()
     assert _bitwise(near.to_float().pi,
                     np.array([float(v) for v in near.pi.flat]).reshape(2, 2))
+
+
+def test_integer_form_is_in_lowest_terms():
+    form = scalars.IntegerForm(np.array([[2, 4], [0, 6]]), 12)
+    assert form.num.tolist() == [[1, 2], [0, 3]] and form.den == 6
+    assert not form.num.flags.writeable
+    assert form == scalars.IntegerForm.of(np.array([[Fraction(1, 6), Fraction(1, 3)],
+                                                    [0, Fraction(1, 2)]], dtype=object))
+    assert form.bound == 6
+    # numerators past int64 stay Python ints, and ones that fit become int64
+    big = scalars.IntegerForm(np.array([2**70, 2], dtype=object), 2**71)
+    assert big.num.dtype == object and big.num.tolist() == [2**69, 1] and big.den == 2**70
+    small = scalars.IntegerForm(np.array([3, 6], dtype=object), 9)
+    assert small.num.dtype == np.int64 and small.num.tolist() == [1, 2] and small.den == 3
+    assert scalars.IntegerForm(np.zeros((2, 0), dtype=np.int64), 5).den == 1
+    zeros = scalars.IntegerForm(np.zeros(3, dtype=np.int64), 2**80)
+    assert zeros.den == 1 and zeros.num.dtype == np.int64 and zeros.bound == 1
+    with pytest.raises(scalars.ModeError):
+        TwoProverGame(1, 1, 1, 1, scalars.IntegerForm([[1]], 1), [[[[1.0]]]], "float")
+
+
+def test_games_compare_on_their_canonical_forms():
+    chsh_game = chsh()
+    pi = [[Fraction(2, 8)] * 2] * 2
+    R_ints = np.where(chsh_game.R == 1, 1, 0)
+    same = TwoProverGame(2, 2, 2, 2, pi, R_ints.astype(object))
+    assert same == chsh_game and chsh_game == same
+    # the same values handed in as unreduced numerators
+    handed = TwoProverGame(2, 2, 2, 2, scalars.IntegerForm(np.full((2, 2), 2), 8),
+                           scalars.IntegerForm(R_ints * 3, 3))
+    assert handed == chsh_game
+    assert handed.integer_form("pi").den == 4 and handed.integer_form("R").den == 1
+    # a rational game never equals its float conversion
+    assert chsh_game != chsh_game.to_float() and chsh_game.to_float() != chsh_game
+    assert chsh_game.to_float() == same.to_float()
+    # a table holding a wrong-mode entry has no form and compares entry by entry
+    halves = np.where(chsh_game.R == 1, Fraction(1, 2), 0)
+    wrong = TwoProverGame(2, 2, 2, 2, chsh_game.pi, np.where(chsh_game.R == 1, 0.5, 0))
+    assert wrong.integer_form("R") is None and wrong.integer_form("pi") is not None
+    assert wrong == TwoProverGame(2, 2, 2, 2, chsh_game.pi, halves)
+    assert wrong != TwoProverGame(2, 2, 2, 2, chsh_game.pi, halves / 2)
+    assert wrong != chsh_game
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_prover_games(max_q=2, max_a=2), st.integers(1, 2))
+def test_repeated_mixed_denominator_games_survive_the_file_round_trip(game, n):
+    repeated = parallel_repeat(game, n)
+    parsed = files.parse_game(files.serialize_game(repeated))
+    assert parsed == repeated
+    for name in ("pi", "R"):
+        assert parsed.integer_form(name) == repeated.integer_form(name)
+        assert_same_fractions(getattr(parsed, name), getattr(repeated, name))
+
+
+def test_near_2_40_game_survives_the_file_round_trip():
+    game = parallel_repeat(_near_2_40_game(), 2)
+    parsed = files.parse_game(files.serialize_game(game))
+    assert parsed.integer_form("pi").num.dtype == object
+    assert parsed == game
+    assert _bitwise(parsed.to_float().pi, game.to_float().pi)
+
+
+def test_readers_derive_each_integer_form_at_most_once():
+    derive = mock.patch.object(scalars.IntegerForm, "of", wraps=scalars.IntegerForm.of)
+    game, other = magic_square_game(), magic_square_game()
+    with derive as spy:
+        for _ in range(2):
+            validate(game)
+            game.to_float()
+            files.serialize_game(game)
+            classical_value(game)
+            assert game == other
+        assert spy.call_count == 4  # pi and R of each of the two games
+        repeated = parallel_repeat(game, 2)
+        parsed = files.parse_game(files.serialize_game(repeated))
+        assert validate(parsed) == []
+        assert parsed == repeated
+        parsed.to_float()
+        classical_value(chsh())  # two derivations of its own
+        assert spy.call_count == 6
