@@ -327,9 +327,16 @@ def _suite_claim_selection(args):
     distribution only if the moved operator fails to commute with one it
     passes, so each sample redraws its game and strategy, and then its
     position list (up to ``_SELECTION_DRAWS`` times each), until some
-    ``t[j], t[i]`` with ``j < i`` is such a pair.  At three positions a
-    game has one triple, whose single measurement makes every pair
-    commute; the suite defaults to four."""
+    ``t[j], t[i]`` with ``j < i`` is such a pair, and fails when none
+    turns up.  At three positions a game has one triple, whose single
+    measurement makes every pair commute, and a list of one position has
+    no pair, so both are refused."""
+    if args.questions < 4:
+        raise ValueError("claim-selection needs --questions 4 or more: "
+                         "at 3 positions every pair of moves commutes")
+    if args.length < 2:
+        raise ValueError("claim-selection needs --length 2 or more: "
+                         "a move must pass another position")
     rng = sampling.seeded(args.seed)
     rng_np = np.random.default_rng(args.seed)
     rows = []
@@ -341,11 +348,17 @@ def _suite_claim_selection(args):
             clash = rounding.position_commutators(tables) > _COMMUTATOR_TOL
             if clash.any():
                 break
+        else:
+            raise ValueError(f"sample {k}: no strategy with a non-commuting pair "
+                             f"of positions in {_SELECTION_DRAWS} draws")
         qn = tables.num_positions
         for _ in range(_SELECTION_DRAWS):
             t_list = [rng.randrange(qn) for _ in range(args.length)]
             if any(clash[a, b] for j, a in enumerate(t_list) for b in t_list[j + 1:]):
                 break
+        else:
+            raise ValueError(f"sample {k}: no position list with a non-commuting "
+                             f"pair in {_SELECTION_DRAWS} draws")
         for i in range(1, args.length + 1):
             lhs, rhs = rounding.verify_claim_selection(tables, t_list, i)
             rows.append(InequalityRow(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -94,13 +93,11 @@ def _texts(values, fmt):
 def _lines(token, rows, texts=None):
     """One line per index row: ``token``, the row's indices and, with
     ``texts``, its value."""
-    columns = [_texts(rows[:, j], str) for j in range(rows.shape[1])]
-    if texts is not None:
-        columns.append(np.asarray(texts, dtype=str))
-    lines = np.asarray(token)
-    for column in columns:
-        lines = np.char.add(np.char.add(lines, " "), column)
-    return lines.reshape(-1).tolist()
+    form = token + " %d" * rows.shape[1]
+    if texts is None:
+        return [form % row for row in map(tuple, rows.tolist())]
+    form += " %s"
+    return [form % (*row, text) for row, text in zip(rows.tolist(), texts)]
 
 
 def serialize_game(game):
@@ -260,44 +257,50 @@ def _index_lines(lines, dims, mode):
     the position of each line's value among them.
 
     ``lines`` holds ``(token, rest, line_no)``: an ``accept`` line names a
-    cell with value 1, any other line a cell and its value.  Lines written
-    as ``serialize_game`` writes them are read all at once; when any line
-    is not, or has an error, they are read one by one, and the first bad
-    line raises its ``ParseError``.
+    cell with value 1, any other line a cell and its value.  Field counts
+    and integer indices are checked line by line, ranges on the whole index
+    array, and each distinct value is parsed once; the first bad line
+    raises its ``ParseError``.
     """
     k = len(dims)
-    blob = "\n".join(rest + " 1" if token == "accept" else rest for token, rest, _ in lines)
-    # every line must be k indices of at most 18 digits (so no int64
-    # overflow) and a value, one space apart; searching for a line that is
-    # not keeps no state from line to line, as one match over all would
-    if not re.search(rf"^(?!(?:[0-9]{{1,18}} ){{{k}}}\S+$)", blob, re.M):
-        tokens = blob.split()
-        texts = tokens[k::k + 1]
-        del tokens[k::k + 1]
-        idx = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ").reshape(len(lines), k)
-        distinct = dict.fromkeys(texts)
-        try:
-            values = [_parse_value(t, mode, None) for t in distinct]
-        except ParseError:  # reported below, with its line
-            values = None
-        if values is not None and (idx < dims).all():
-            position = {t: i for i, t in enumerate(distinct)}
-            return idx, values, np.fromiter(map(position.__getitem__, texts), np.int64, len(texts))
-    rows, values = [], []
+    rows, texts, error = [], [], None
     for token, rest, ln in lines:
         parts = rest.split()
         fields = parts if token == "accept" else parts[:-1]
         if len(fields) != k:
-            raise ParseError(ln, f"expected {k} fields, got {len(fields)}")
+            error = ParseError(ln, f"expected {k} fields, got {len(fields)}")
+            break
         try:
-            row = [int(p) for p in fields]
+            rows.append(list(map(int, fields)))
         except ValueError:
-            raise ParseError(ln, "indices must be integers") from None
-        _check_range(row, dims, ln)
-        rows.append(row)
-        values.append(scalars.one(mode) if token == "accept"
-                      else _parse_value(parts[-1], mode, ln))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), k), values, np.arange(len(values))
+            error = ParseError(ln, "indices must be integers")
+            break
+        texts.append("1" if token == "accept" else parts[-1])
+    n = len(rows)
+    try:
+        idx = np.array(rows, dtype=np.int64).reshape(n, k)
+    except OverflowError:  # out of range, reported below
+        idx = np.array(rows, dtype=object).reshape(n, k)
+    outside = ((idx < 0) | (idx >= np.array(dims, dtype=np.int64))).any(axis=1)
+    values, bad = {}, set()
+    for t in dict.fromkeys(texts):
+        try:
+            values[t] = _parse_value(t, mode, None)
+        except ParseError:
+            bad.add(t)
+    # the earliest line with an index out of range or a bad value, else
+    # the line that stopped the loop
+    first_range = int(outside.argmax()) if outside.any() else n
+    first_value = next((i for i, t in enumerate(texts) if t in bad), n)
+    i = min(first_range, first_value)
+    if i < n:
+        if first_range == i:
+            _check_range(rows[i], dims, lines[i][2])
+        _parse_value(texts[i], mode, lines[i][2])
+    if error is not None:
+        raise error
+    position = {t: j for j, t in enumerate(values)}
+    return idx, list(values.values()), np.array([position[t] for t in texts], dtype=np.int64)
 
 
 def _flat(idx, dims):

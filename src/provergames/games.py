@@ -160,15 +160,13 @@ class _Game:
         return getattr(self, name).astype(float) if form is None else form.floats()
 
     def __eq__(self, other):
-        """Equal shape, mode and tables; labels and meta do not count.
-        Tables that both have integer forms compare on them, any other
-        pair entry by entry."""
-        if type(self) is not type(other):
-            return NotImplemented
-        return (self.shape == other.shape and self.mode == other.mode
-                and all(np.array_equal(getattr(self, n), getattr(other, n))
-                        for n in self._ROWS)
-                and all(self._same_table(other, n) for n in ("pi", "R")))
+        """``_same_tables`` on shape, mode and the index arrays, then ``pi``
+        and ``R``: tables that both have integer forms compare on them, any
+        other pair entry by entry."""
+        same = _same_tables(self, other, self._ROWS)
+        if same is NotImplemented or not same:
+            return same
+        return all(self._same_table(other, n) for n in ("pi", "R"))
 
     def _same_table(self, other, name):
         mine, theirs = self.integer_form(name), other.integer_form(name)

@@ -142,21 +142,10 @@ class IntegerForm:
         return quotients[inverse.reshape(self.num.shape)]
 
 
-#: int64 numerators spanning fewer values than this are looked up by
-#: offset, with no sort
-_LOOKUP_SPAN = 64
-
-
 def rationals(num, den):
     """The read-only ``Fraction`` table ``num / den``, with one ``Fraction``
-    made per distinct numerator, or per numerator in a span of fewer than
-    ``_LOOKUP_SPAN``."""
-    num = np.asarray(num)
-    lo, hi = int(num.min(initial=0)), int(num.max(initial=0))
-    if num.dtype != object and hi - lo < _LOOKUP_SPAN:
-        values, inverse = range(lo, hi + 1), num - lo
-    else:
-        values, inverse = np.unique(num, return_inverse=True)
+    made per distinct numerator."""
+    values, inverse = np.unique(num, return_inverse=True)
     fractions = np.array([Fraction(int(v), den) for v in values], dtype=object)
     table = fractions[inverse.reshape(np.shape(num))]
     table.flags.writeable = False

@@ -83,20 +83,15 @@ def test_parse_rejects_unknown_directive():
         files.parse_game("format_version 1\nkind pcp3\ncounts 3 2\nbogus 1\n")
 
 
-def _two_prover_file(body, mode="rational", sep=" "):
-    """A 2x2x2x2 game file; ``sep`` goes between the fields of the body's
-    lines (two spaces make the parser read them one by one)."""
+def _two_prover_file(body, mode="rational"):
+    """A 2x2x2x2 game file."""
     return ("format_version 1\nkind two_prover_one_round\nmode " + mode
-            + "\ncounts 2 2 2 2\n" + body.replace(" ", sep))
+            + "\ncounts 2 2 2 2\n" + body)
 
 
-_SEPARATORS = pytest.mark.parametrize("sep", [" ", "  "], ids=["bulk", "line-by-line"])
-
-
-@_SEPARATORS
-def test_parse_later_line_overrides_earlier(sep):
+def test_parse_later_line_overrides_earlier():
     def parse(body, mode="rational", header=_two_prover_file):
-        return files.parse_game(header(body, mode, sep))
+        return files.parse_game(header(body, mode))
 
     g = parse("pi 0 0 1/4\npi 1 1 1/2\npi 0 0 1/2\naccept 0 0 0 0\n")
     assert g.pi.tolist() == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
@@ -114,9 +109,8 @@ def test_parse_later_line_overrides_earlier(sep):
               mode="float")
     assert g.pi.tolist() == [[0.5, 0.0], [0.0, 0.5]] and g.R[0, 0, 1, 1] == 1.0
 
-    def pcp(body, mode, sep):
-        return ("format_version 1\nkind pcp3\nmode rational\ncounts 4 2\n"
-                + body.replace(" ", sep))
+    def pcp(body, mode):
+        return "format_version 1\nkind pcp3\nmode rational\ncounts 4 2\n" + body
 
     g = parse("pi 0 1 2 1/4\npi 1 2 3 1/2\npi 0 1 2 1/2\nrvalue 1 2 3 0 0 1 1/2\n"
               "accept 0 1 2 1 1 1\naccept 1 2 3 0 0 1\nrvalue 0 1 2 1 1 1 1/3\n",
@@ -126,7 +120,6 @@ def test_parse_later_line_overrides_earlier(sep):
     assert g.R[0, 7] == Fraction(1, 3) and g.R[1, 1] == 1
 
 
-@_SEPARATORS
 @pytest.mark.parametrize("body, message", [
     ("pi 0 0 1\naccept 0 0 1 1\naccept 0 0 5 1\naccept 0 9 1 1\n",
      "line 7: index 5 out of range [0, 2)"),
@@ -138,10 +131,18 @@ def test_parse_later_line_overrides_earlier(sep):
     # the pi lines are read before the predicate lines
     ("accept 0 0 7 1\npi 0 0 1\npi 0 3 1\n", "line 7: index 3 out of range [0, 2)"),
     ("accept 0 0 7 1\npi 0 0 0.5\n", "line 6: float value '0.5' in a rational-mode file"),
+    # a bad range or value before a line with the wrong fields
+    ("pi 0 0 1\naccept 0 0 9 1\naccept 0 0 1\n", "line 6: index 9 out of range [0, 2)"),
+    ("pi 0 0 1\nrvalue 0 0 1 1 x\naccept 0 x 1 1\n", "line 6: bad value 'x'"),
+    # on one line the range is checked before the value
+    ("pi 0 0 1\nrvalue 0 0 1 9 x\n", "line 6: index 9 out of range [0, 2)"),
+    ("pi 0 0 1\naccept 0 -1 1 1\n", "line 6: index -1 out of range [0, 2)"),
+    ("pi 0 0 1\naccept 0 0 99999999999999999999 1\n",
+     "line 6: index 99999999999999999999 out of range [0, 2)"),
 ])
-def test_parse_error_names_the_first_bad_line(sep, body, message):
+def test_parse_error_names_the_first_bad_line(body, message):
     with pytest.raises(files.ParseError) as err:
-        files.parse_game(_two_prover_file(body, sep=sep))
+        files.parse_game(_two_prover_file(body))
     assert str(err.value) == message
 
 
@@ -444,6 +445,19 @@ def test_cli_claim_selection_moves_change_the_distribution(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verification failed: selection move changes the distribution by ")
     assert err.rstrip().endswith("over the bound 0.0")
+
+
+def test_cli_claim_selection_refuses_a_run_that_tests_nothing(monkeypatch, capsys):
+    for args, message in ((["--questions", "3"], "needs --questions 4 or more"),
+                          (["--length", "1"], "needs --length 2 or more")):
+        assert cli.run_cli(["verify", "claim-selection", "--seed", "1", *args]) == 2
+        assert message in capsys.readouterr().err
+    # every pair commuting: the draws give up instead of checking zeros
+    monkeypatch.setattr(rounding, "position_commutators",
+                        lambda tables: np.zeros((tables.num_positions,) * 2))
+    assert cli.run_cli(["verify", "claim-selection", "--seed", "1", "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "no strategy with a non-commuting pair of positions in 20 draws" in err
 
 
 def test_cli_verify_exit_one_on_perturbed_inequality(monkeypatch, capsys):
