@@ -57,6 +57,30 @@ def _print_report(report, as_json, header, out=None):
     return 0 if report.ok else 1
 
 
+def _at_least(low):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_count, _seed = _at_least(1), _at_least(0)
+
+
+def _dims(text):
+    """An argparse ``type``: local dimensions ``d1,d2``, each at least 1."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected d1,d2, got {text!r}")
+    return tuple(map(_count, parts))
+
+
 def _load_game(path):
     with open(path, "r", encoding="utf-8") as f:
         return files.parse_game(f.read())
@@ -107,9 +131,8 @@ def _cmd_value(args):
         elif kind == "no-signaling":
             result = values.no_signaling_value(game)
         else:
-            d1, d2 = (int(x) for x in args.dims.split(","))
             result = values.entangled_lower_bound(
-                game.to_float(), dims=(d1, d2), restarts=args.restarts,
+                game.to_float(), dims=args.dims, restarts=args.restarts,
                 max_iters=args.max_iters, seed=args.seed)
     elif kind == "multi-round":
         if not isinstance(game, MultiRoundGame):
@@ -262,7 +285,14 @@ def _random_com_tables(rng_np, g, gp, use_seesaw, args):
     return rounding.com_decompose(g, gp, s)
 
 
+def _pcp_suite(args):
+    if args.questions < 3:
+        raise ValueError(f"{args.suite} needs --questions 3 or more: "
+                         "a PCP game asks about triples of positions")
+
+
 def _suite_lemma_game(args):
+    _pcp_suite(args)
     rng = sampling.seeded(args.seed)
     rng_np = np.random.default_rng(args.seed)
     rows = []
@@ -281,6 +311,7 @@ def _suite_lemma_game(args):
 
 
 def _suite_com_claims(args):
+    _pcp_suite(args)
     rng = sampling.seeded(args.seed)
     rng_np = np.random.default_rng(args.seed)
     rows = []
@@ -379,6 +410,9 @@ _SUITES = {
 
 def _cmd_verify(args):
     report = _SUITES[args.suite](args)
+    if not report.rows:
+        raise ValueError(f"verify {args.suite} checked no inequality "
+                         f"(--samples {args.samples}, --strategies {args.strategies})")
     return _print_report(report, args.json, f"verify {args.suite} "
                          f"(seed={args.seed}, samples={args.samples})")
 
@@ -393,10 +427,11 @@ def build_parser():
     pv.add_argument("kind", choices=["classical", "no-signaling", "entangled-lb",
                                      "multi-round", "pcp"])
     pv.add_argument("file")
-    pv.add_argument("--dims", default="2,2", help="see-saw local dimensions d1,d2")
-    pv.add_argument("--restarts", type=int, default=10)
-    pv.add_argument("--max-iters", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--dims", type=_dims, default="2,2",
+                    help="see-saw local dimensions d1,d2")
+    pv.add_argument("--restarts", type=_count, default=10)
+    pv.add_argument("--max-iters", type=_count, default=100)
+    pv.add_argument("--seed", type=_seed, default=0)
     pv.add_argument("--witness", help="write the witness strategy to this file")
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=_cmd_value)
@@ -404,22 +439,23 @@ def build_parser():
     pt = sub.add_parser("transform", help="transform a game and write it")
     pt.add_argument("kind", choices=["oracularize", "oracularize-dummy", "repeat"])
     pt.add_argument("file")
-    pt.add_argument("-n", type=int, default=2, help="repetition count")
+    pt.add_argument("-n", type=_count, default=2, help="repetition count")
     pt.add_argument("-o", "--output")
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=_cmd_transform)
 
     pf = sub.add_parser("verify", help="run an inequality verification suite")
     pf.add_argument("suite", choices=sorted(_SUITES))
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--samples", type=int, default=5)
-    pf.add_argument("--strategies", type=int, default=3)
-    pf.add_argument("--questions", type=int, default=None)
-    pf.add_argument("--answers", type=int, default=2)
-    pf.add_argument("--rounds", type=int, default=2)
-    pf.add_argument("--restarts", type=int, default=3)
-    pf.add_argument("--dim", type=int, default=2)
-    pf.add_argument("--length", type=int, default=3, help="claim-selection m")
+    pf.add_argument("--seed", type=_seed, default=0)
+    pf.add_argument("--samples", type=_count, default=5)
+    # ns-claims also checks the LP-optimal strategy, so 0 random ones is a run
+    pf.add_argument("--strategies", type=_at_least(0), default=3)
+    pf.add_argument("--questions", type=_count, default=None)
+    pf.add_argument("--answers", type=_count, default=2)
+    pf.add_argument("--rounds", type=_count, default=2)
+    pf.add_argument("--restarts", type=_count, default=3)
+    pf.add_argument("--dim", type=_count, default=2)
+    pf.add_argument("--length", type=_count, default=3, help="claim-selection m")
     pf.add_argument("--json", action="store_true")
     pf.set_defaults(func=_cmd_verify)
 

@@ -5,9 +5,11 @@ A dense two-phase simplex with fraction-free integer pivoting, on and to
 ``a . x {<=, ==, >=} b`` and ``x >= 0``; ``solve_lp`` verifies the exact dual
 certificate of an optimum before returning, so a failure there is a solver bug.
 
-Each row is scaled by the lcm of its denominators (its slack and artificial
-columns too, so they stay unit columns), the objective by its own.  One
-integer array holds ``D`` times that tableau, ``D`` the basis determinant; a
+``LinearProgram`` reads its dense rows once, into integers (``_IntegerRows``):
+each row's nonzeros in CSR arrays, scaled with its right-hand side by the lcm
+of their denominators (and its slack and artificial columns too, so they stay
+unit columns), and the objective's numerators over their own lcm.  One
+integer array holds ``D`` times the tableau, ``D`` the basis determinant; a
 pivot on ``p = T[r, s]`` is Bareiss's exact update ``(p*T - outer(T[:, s],
 T[r])) // D`` of the other rows, then ``D = p`` (Bareiss, Math. Comp. 1968, as
 in Avis's ``lrs``).  The array is ``int64`` while every entry is below 2**31,
@@ -15,7 +17,10 @@ so no product overflows, and past that an ``object`` array of Python ints
 (``LpSolution.stats["promoted"]``).  Pricing is Dantzig's rule, or Bland's
 while a run of degenerate pivots lasts, so it terminates; prices carry their
 column scales and the ratio test cross-multiplies, so the pivots are those of
-the same simplex on ``Fraction``s.
+the same simplex on ``Fraction``s.  ``check_certificates`` re-checks an
+optimum by integer products of the same rows with the point and duals over
+common denominators (as exact LP solvers do: Applegate, Cook, Dash and
+Espinoza, Oper. Res. Lett. 2007).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 from operator import is_not, not_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +52,8 @@ LESS_EQUAL = "<="
 EQUAL = "=="
 GREATER_EQUAL = ">="
 _FLIP = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
+#: how a violated row's two sides compare
+_BROKEN = {LESS_EQUAL: ">", GREATER_EQUAL: "<", EQUAL: "!="}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -64,23 +72,84 @@ class VerificationError(Exception):
     """
 
 
-def _nonzeros(values):
-    # entries that are the very object of the first zero need no comparison
+def check_lp_size(num_vars, num_constraints):
+    """Raise ``LpSizeError`` for an LP over the size guard."""
+    if num_vars > MAX_VARS or num_constraints > MAX_CONSTRAINTS:
+        raise LpSizeError(
+            f"LP size {num_vars} vars x {num_constraints} constraints exceeds "
+            f"guard {MAX_VARS} x {MAX_CONSTRAINTS}")
+
+
+def _int_array(values):
+    """Python ints as ``int64`` if all fit, else as an ``object`` array."""
+    return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 2**63
+                    else object)
+
+
+def _top(a):
+    """The largest absolute entry of an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _sums(a, b, groups, size):
+    """``out[g]``, the sum of ``a[i] * b[i]`` over the ``i`` in group ``g``:
+    in int64 when no sum can reach 2**63, else in Python ints."""
+    if _top(a) * _top(b) * len(a) >= 2**63:
+        a, b = a.astype(object), b.astype(object)
+    out = np.zeros(size, dtype=np.result_type(a, b))
+    np.add.at(out, groups, a * b)
+    return out
+
+
+def _read(values, *rhs):
+    """A dense row's nonzero indices, then its nonzeros and ``rhs`` over the
+    lcm of their denominators; a float, even 0.0, raises.  Entries that are
+    the very object of the first zero need no check."""
     zero = next(compress(values, map(not_, values)), None)
-    maybe = compress(range(len(values)), map(is_not, values, repeat(zero)))
-    idx = tuple(j for j in maybe if values[j])
-    return idx, tuple(_rat(values[j]) for j in idx)
-
-
-def _sparse(lp):
-    """``((indices, Fractions), rows)``: the objective's nonzeros, then each
-    row's as ``(indices, Fractions, rhs)``.  A float, even 0.0, raises."""
-    types = set(map(type, [c.rhs for c in lp.constraints])).union(
-        map(type, lp.objective), *(map(type, c.coeffs) for c in lp.constraints))
-    if any(issubclass(t, float) for t in types):
+    maybe = list(compress(range(len(values)), map(is_not, values, repeat(zero))))
+    if any(isinstance(v, float) for v in [zero, *rhs, *(values[j] for j in maybe)]):
         raise scalars.ModeError("linear programs require rational-mode scalars")
-    return _nonzeros(lp.objective), tuple(
-        _nonzeros(c.coeffs) + (_rat(c.rhs),) for c in lp.constraints)
+    idx = [j for j in maybe if values[j]]
+    rats = [_rat(v) for v in [*(values[j] for j in idx), *rhs]]
+    f = lcm(*(v.denominator for v in rats))
+    return idx, [v.numerator * (f // v.denominator) for v in rats], f
+
+
+class _IntegerRows(NamedTuple):
+    """Row ``i`` times ``scale[i]`` has the entries ``data[indptr[i]:indptr[i
+    + 1]]`` in the columns ``indices[...]`` and the right-hand side
+    ``rhs[i]``; the objective is ``cost / unit``.  ``data``, ``scale``,
+    ``rhs`` and ``cost`` are ``int64`` where their values fit."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    scale: np.ndarray
+    rhs: np.ndarray
+    relations: np.ndarray
+    cost: np.ndarray
+    unit: int
+
+    @classmethod
+    def read(cls, objective, constraints):
+        indptr, indices, data, scale, rhs = [0], [], [], [], []
+        for c in constraints:
+            idx, ints, f = _read(c.coeffs, c.rhs)
+            indices += idx
+            data += ints[:-1]
+            indptr.append(len(indices))
+            scale.append(f)
+            rhs.append(ints[-1])
+        idx, ints, unit = _read(objective)
+        cost = np.zeros(len(objective), dtype=_int_array(ints).dtype)
+        cost[idx] = ints
+        return cls(np.array(indptr), np.array(indices, dtype=np.intp), _int_array(data),
+                   _int_array(scale), _int_array(rhs),
+                   np.array([c.relation for c in constraints], dtype=object), cost, unit)
+
+    def row_of(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -97,28 +166,27 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize ``objective . x`` over ``x >= 0`` under the constraints."""
+    """Maximize ``objective . x`` over ``x >= 0`` under the constraints.
+
+    The rows are read once, into ``_rows``; a float entry, even 0.0, raises
+    ``scalars.ModeError``."""
 
     num_vars: int
     objective: tuple
     constraints: tuple
+    _rows: _IntegerRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objective", tuple(self.objective))
-        rows = []
-        for c in self.constraints:
-            if not isinstance(c, Constraint):
-                c = Constraint(*c)
-            if len(c.coeffs) != self.num_vars:
-                raise ValueError("constraint row length does not match num_vars")
-            rows.append(c)
-        object.__setattr__(self, "constraints", tuple(rows))
+        rows = tuple(self.constraints)
+        check_lp_size(self.num_vars, len(rows))
+        rows = tuple(c if isinstance(c, Constraint) else Constraint(*c) for c in rows)
+        if any(len(c.coeffs) != self.num_vars for c in rows):
+            raise ValueError("constraint row length does not match num_vars")
+        object.__setattr__(self, "constraints", rows)
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
-        if self.num_vars > MAX_VARS or len(rows) > MAX_CONSTRAINTS:
-            raise LpSizeError(
-                f"LP size {self.num_vars} vars x {len(rows)} constraints exceeds "
-                f"guard {MAX_VARS} x {MAX_CONSTRAINTS}")
+        object.__setattr__(self, "_rows", _IntegerRows.read(self.objective, rows))
 
 
 @dataclass(frozen=True)
@@ -143,7 +211,7 @@ class _Tableau:
 
     def _check(self, changed):
         """Track the largest entry ever held; promote once one reaches 2**31."""
-        top = max(int(changed.max()), -int(changed.min())) if changed.size else 0
+        top = _top(changed)
         self.stats["max_bits"] = max(self.stats["max_bits"], top.bit_length())
         if top >= _INT64_LIMIT and self.T.dtype != object:
             self.T = self.T.astype(object)
@@ -207,36 +275,32 @@ class _Tableau:
 
 def solve_lp(lp):
     """Solve the LP exactly; see the module docstring for the contract."""
-    n, m = lp.num_vars, len(lp.constraints)
-    (cidx, cval), rows = _sparse(lp)
+    n, m, form = lp.num_vars, len(lp.constraints), lp._rows
     stats = dict.fromkeys(("phase1_pivots", "phase2_pivots", "degenerate_pivots",
                            "bland_switches", "max_bits"), 0)
 
     # normalize rows to nonnegative rhs, remembering flips for the duals
-    flipped = [rhs < 0 for _, _, rhs in rows]
-    rels = [_FLIP[c.relation] if f else c.relation for c, f in zip(lp.constraints, flipped)]
+    flipped = form.rhs < 0
+    rels = [_FLIP[r] if f else r for r, f in zip(form.relations, flipped)]
     new_col = count(n)
     slack_col = [next(new_col) if rel != EQUAL else -1 for rel in rels]
     first_art = n + m - rels.count(EQUAL)
     art_col = [next(new_col) if rel != LESS_EQUAL else -1 for rel in rels]
     ncols = next(new_col)
 
-    # integer rows, each scaled by the lcm of its denominators; a row without
-    # a slack or artificial column writes that column's 1 to index -1, the
+    # the form's integer rows, and each row's slack and artificial column,
+    # scaled with the row; a row without one writes its 1 to index -1, the
     # right-hand side, which is then set last
-    scale, ints = [1] * (ncols + 1), []
-    for i, (idx, vals, rhs) in enumerate(rows):
-        f = lcm(rhs.denominator, *(v.denominator for v in vals))
-        ints.append([v.numerator * ((-f if flipped[i] else f) // v.denominator)
-                     for v in vals + (rhs,)])
-        scale[slack_col[i]] = scale[art_col[i]] = f
-    top = max((abs(v) for row in ints for v in row), default=0)
-    T = np.zeros((m + 1, ncols + 1), dtype=np.int64 if top < 2**63 else object)
-    for i, (idx, _, _) in enumerate(rows):
-        T[i, slack_col[i]] = 1 if rels[i] == LESS_EQUAL else -1
-        T[i, art_col[i]] = 1
-        T[i, list(idx) + [ncols]] = ints[i]
-    scale = np.array(scale, dtype=np.int64 if max(scale) < _INT64_LIMIT else object)
+    T = np.zeros((m + 1, ncols + 1), dtype=np.result_type(form.data, form.rhs))
+    row_of = form.row_of()
+    slack, art = np.array(slack_col, dtype=np.intp), np.array(art_col, dtype=np.intp)
+    T[row_of, form.indices] = np.where(flipped[row_of], -form.data, form.data)
+    T[range(m), slack] = np.where(np.array(rels, dtype=object) == LESS_EQUAL, 1, -1)
+    T[range(m), art] = 1
+    T[:m, -1] = np.where(flipped, -form.rhs, form.rhs)
+    scale = np.ones(ncols + 1, dtype=np.int64 if _top(form.scale) < _INT64_LIMIT
+                    else object)
+    scale[slack] = scale[art] = form.scale
     basis = [art_col[i] if art_col[i] >= 0 else slack_col[i] for i in range(m)]
     tab = _Tableau(T, scale, basis, stats)
 
@@ -260,19 +324,17 @@ def solve_lp(lp):
         tab.T, tab.basis = tab.T[keep + [m]], [basis[i] for i in keep]
 
     # phase 2
-    unit = lcm(*(v.denominator for v in cval))
-    costs = [0] * (ncols + 1)
-    for j, v in zip(cidx, cval):
-        costs[j] = v.numerator * (unit // v.denominator)
+    unit, costs = form.unit, form.cost.tolist() + [0] * (ncols + 1 - n)
     tab.set_objective(costs)
     if tab.run(first_art, "phase2_pivots") == UNBOUNDED:
         return LpSolution(UNBOUNDED, stats=stats)
 
-    x = [Fraction(0)] * n
+    x, total = [Fraction(0)] * n, 0
     for i, bi in enumerate(tab.basis):
         if bi < n:
             x[bi] = Fraction(int(tab.T[i, -1]), tab.D)
-    value = sum((v * x[j] for j, v in zip(cidx, cval) if x[j]), Fraction(0))
+            total += costs[bi] * int(tab.T[i, -1])
+    value = Fraction(total, unit * tab.D)
 
     # duals from reduced costs of the unit columns of each row
     duals = []
@@ -292,39 +354,38 @@ def solve_lp(lp):
 def check_certificates(lp, sol):
     """Exact verification of an optimal LpSolution; returns defect strings.
 
-    Re-reads the LP's nonzero coefficients and sums them in ``Fraction``s."""
+    Checks integer products of the LP's integer rows with ``sol.x`` and
+    ``sol.duals`` over common denominators; a ``Fraction`` is made only to
+    word a defect."""
     if sol.status != OPTIMAL:
         return ["solution is not optimal"]
-    issues = []
-    x, y = sol.x, sol.duals
-    (cidx, cval), rows = _sparse(lp)
-    if any(v < 0 for v in x):
-        issues.append("primal point has a negative coordinate")
-    for k, (c, (idx, vals, _)) in enumerate(zip(lp.constraints, rows)):
-        lhs = sum(a * x[j] for j, a in zip(idx, vals) if x[j])
-        if c.relation == LESS_EQUAL and lhs > c.rhs:
-            issues.append(f"constraint {k} violated: {lhs} > {c.rhs}")
-        elif c.relation == GREATER_EQUAL and lhs < c.rhs:
-            issues.append(f"constraint {k} violated: {lhs} < {c.rhs}")
-        elif c.relation == EQUAL and lhs != c.rhs:
-            issues.append(f"constraint {k} violated: {lhs} != {c.rhs}")
-    primal = sum(a * x[j] for j, a in zip(cidx, cval) if x[j])
-    if primal != sol.value:
+    form, row_of, value = lp._rows, lp._rows.row_of(), sol.value
+    xs, ys = scalars.IntegerForm.of(sol.x), scalars.IntegerForm.of(sol.duals)
+    (xs, X), (ys, Y) = (xs.num, xs.den), (ys.num, ys.den)
+    issues = ["primal point has a negative coordinate"] if (xs < 0).any() else []
+    # row k times scale[k] * X
+    lhs = _sums(form.data, xs[form.indices], row_of, len(form.rhs))
+    rhs = form.rhs.astype(object) * X
+    le, ge = form.relations == LESS_EQUAL, form.relations == GREATER_EQUAL
+    broken = np.where(le, lhs > rhs, np.where(ge, lhs < rhs, lhs != rhs))
+    for k in np.flatnonzero(broken):
+        c = lp.constraints[k]
+        lhs_k = Fraction(int(lhs[k]), int(form.scale[k]) * X)
+        issues.append(f"constraint {k} violated: {lhs_k} {_BROKEN[c.relation]} {c.rhs}")
+    if form.cost.astype(object) @ xs.astype(object) * value.denominator \
+            != value.numerator * form.unit * X:
         issues.append("objective at primal point differs from reported value")
-    for k, c in enumerate(lp.constraints):
-        if c.relation == LESS_EQUAL and y[k] < 0:
-            issues.append(f"dual {k} negative for a <= row")
-        if c.relation == GREATER_EQUAL and y[k] > 0:
-            issues.append(f"dual {k} positive for a >= row")
-    col = [0] * lp.num_vars
-    for k, (idx, vals, _) in enumerate(rows):
-        if y[k]:
-            for j, a in zip(idx, vals):
-                col[j] += a * y[k]
-    for j in range(lp.num_vars):
-        if col[j] < lp.objective[j]:
-            issues.append(f"dual infeasible at column {j}: {col[j]} < {lp.objective[j]}")
-    dual_obj = sum(c.rhs * y[k] for k, c in enumerate(lp.constraints) if c.rhs and y[k])
-    if dual_obj != sol.value:
-        issues.append(f"strong duality violated: dual objective {dual_obj}")
+    for k in np.flatnonzero((le & (ys < 0)) | (ge & (ys > 0))):
+        issues.append(f"dual {k} negative for a <= row" if le[k]
+                      else f"dual {k} positive for a >= row")
+    # the duals over F * Y, F the lcm of the row scales, weigh the scaled rows
+    F = lcm(*form.scale.tolist())
+    w = _int_array([y * (F // f) for y, f in zip(ys.tolist(), form.scale.tolist())])
+    col = _sums(form.data, w[row_of], form.indices, lp.num_vars)
+    for j in np.flatnonzero(col.astype(object) * form.unit < form.cost.astype(object) * (F * Y)):
+        issues.append(f"dual infeasible at column {j}: {Fraction(int(col[j]), F * Y)} "
+                      f"< {lp.objective[j]}")
+    dual_obj = form.rhs.astype(object) @ w.astype(object)
+    if dual_obj * value.denominator != value.numerator * F * Y:
+        issues.append(f"strong duality violated: dual objective {Fraction(dual_obj, F * Y)}")
     return issues

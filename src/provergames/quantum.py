@@ -4,14 +4,15 @@ Strategies live in tensor-product form: the first prover's operators act on
 the left factor, the second prover's on the right, so commutation between
 the provers is structural.  Measurements are read-only stacked complex
 arrays: a ``Povm`` is ``(A, d, d)``, and a ``QuantumStrategy`` holds one
-``(Q, A, d, d)`` stack per prover, whose rows ``povms1``/``povms2`` give
-as ``Povm`` views.  ``psd_sqrt`` and ``pure_state_trace_distance`` take
-leading stack axes.
+``(Q, A, d, d)`` stack per prover; ``povms1``/``povms2`` give its rows
+as ``Povm`` views, built once per strategy.  ``psd_sqrt`` and
+``pure_state_trace_distance`` take leading stack axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,14 +121,16 @@ class QuantumStrategy:
     def state_matrix(self):
         return self.state.reshape(self.d1, self.d2)
 
-    @property
+    @cached_property
     def povms1(self):
-        """The first prover's measurements as ``Povm`` views over ``M``."""
+        """The first prover's measurements as ``Povm`` views over ``M``,
+        built on first access."""
         return tuple(Povm(m, self.projective) for m in self.M)
 
-    @property
+    @cached_property
     def povms2(self):
-        """The second prover's measurements as ``Povm`` views over ``N``."""
+        """The second prover's measurements as ``Povm`` views over ``N``,
+        built on first access."""
         return tuple(Povm(n, self.projective) for n in self.N)
 
 

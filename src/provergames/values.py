@@ -22,7 +22,8 @@ from .games import (
     eval_two_prover,
 )
 from .indexing import digit_table
-from .lp import EQUAL, LinearProgram, OPTIMAL, VerificationError, solve_lp
+from .lp import (EQUAL, OPTIMAL, LinearProgram, VerificationError, check_lp_size,
+                 solve_lp)
 
 
 @dataclass(frozen=True)
@@ -185,30 +186,26 @@ def no_signaling_value(game):
     m2_var = m1_var.size + t_var.size + np.arange(q2n * a2n).reshape(q2n, a2n)
     n = t_var.size + m1_var.size + m2_var.size
 
-    zero, one = Fraction(0), Fraction(1)
-    objective = [zero] * n
+    # rows: per support pair its normalization, then its a1 and a2 marginal
+    # equalities; then each marginal table's normalizations
+    pairs, a1s, a2s = len(sup[0]), np.arange(a1n), np.arange(a2n)
+    base = (1 + a1n + a2n) * np.arange(pairs)
+    m = pairs * (1 + a1n + a2n) + q1n + q2n
+    check_lp_size(n, m)
+    A = np.zeros((m, n), dtype=np.int8)
+    A[base[:, None], t_var.reshape(pairs, a1n * a2n)] = 1
+    A[base[:, None, None] + 1 + a1s[:, None], t_var] = 1
+    A[base[:, None] + 1 + a1s, m1_var[sup[0]]] = -1
+    A[base[:, None, None] + 1 + a1n + a2s, t_var] = 1
+    A[base[:, None] + 1 + a1n + a2s, m2_var[sup[1]]] = -1
+    A[m - q1n - q2n + np.arange(q1n)[:, None], m1_var] = 1
+    A[m - q2n + np.arange(q2n)[:, None], m2_var] = 1
+    b = np.zeros(m, dtype=np.int8)
+    b[base] = b[m - q1n - q2n:] = 1
+
+    objective = [Fraction(0)] * n
     objective[:t_var.size] = (game.pi[sup][:, None, None] * game.R[sup]).ravel().tolist()
-
-    rows = []
-
-    def add(plus, rhs, minus=None):
-        row = [zero] * n
-        for j in plus:
-            row[j] = one
-        if minus is not None:
-            row[minus] = -one
-        rows.append((tuple(row), EQUAL, rhs))
-
-    for s, (q1, q2) in enumerate(zip(*sup)):
-        add(t_var[s].ravel(), one)
-        for a1 in range(a1n):
-            add(t_var[s, a1], zero, m1_var[q1, a1])
-        for a2 in range(a2n):
-            add(t_var[s, :, a2], zero, m2_var[q2, a2])
-    for q1 in range(q1n):
-        add(m1_var[q1], one)
-    for q2 in range(q2n):
-        add(m2_var[q2], one)
+    rows = zip(A.tolist(), itertools.repeat(EQUAL), b.tolist())
 
     sol = solve_lp(LinearProgram(n, tuple(objective), tuple(rows)))
     if sol.status != OPTIMAL:  # the polytope is nonempty and bounded
@@ -308,6 +305,7 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
     d1, d2 = dims
     if d1 < 1 or d2 < 1:
         raise ValueError("dims must be at least 1")
+    check_table_size((d1 * d2)**2, "see-saw game operator")
     if restarts < 1 and classical_seed is None:
         raise ValueError("need at least one restart or a classical seed")
     if game.mode != scalars.FLOAT:

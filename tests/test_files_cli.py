@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -551,3 +552,112 @@ def test_float_mode_round_trip():
 def test_formula_repeated_variable_has_line_number():
     with pytest.raises(files.ParseError, match="line 2.*repeats"):
         files.parse_formula("1in3 3 1\n1 -1 2\n")
+
+
+def test_lp_size_is_refused_before_any_row_is_built(capsys):
+    argv = ["verify", "lemma-wns", "--rounds", "4", "--seed", "7", "--samples", "1"]
+    tracemalloc.start()
+    try:
+        code = cli.run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: LP size 29910 vars x 2864 constraints exceeds guard 5000 x 20000\n")
+    # building the 2864 dense rows before the check peaked at 658 MiB; the
+    # refusal now peaks at about 3.4 MiB
+    assert peak < 32 * 2**20, peak
+
+
+# each integer option of the CLI at 0, -1 and a malformed value: the exit
+# code and the last line on stderr; None stands for the catalog CHSH file
+_VALUE = ["value", "entangled-lb", None, "--max-iters", "2"]
+_OPTION_CASES = [
+    (_VALUE, "--restarts", 1), (_VALUE, "--max-iters", 1), (_VALUE, "--seed", 0),
+    (["transform", "repeat", None, "-o", os.devnull], "-n", 1),
+    (["verify", "lemma-wns", "--samples", "1"], "--seed", 0),
+    (["verify", "lemma-wns"], "--samples", 1),
+    (["verify", "com-claims", "--samples", "1"], "--strategies", 0),
+    (["verify", "lemma-wns", "--samples", "1"], "--questions", 1),
+    (["verify", "lemma-wns", "--samples", "1"], "--answers", 1),
+    (["verify", "lemma-wns", "--samples", "1"], "--rounds", 1),
+    (["verify", "lemma-game", "--samples", "1"], "--restarts", 1),
+    (["verify", "lemma-distance", "--samples", "1"], "--dim", 1),
+    (["verify", "claim-selection", "--samples", "1"], "--length", 1),
+]
+_OPTION_RUNS = {
+    "--seed": (0, None),  # seed 0 is a valid run
+    "--strategies": (2, "error: verify com-claims checked no inequality "
+                        "(--samples 1, --strategies 0)"),
+}
+
+
+def _option_runs():
+    for base, option, low in _OPTION_CASES:
+        command = " ".join(base[:2])
+        for raw in ("0", "-1", "x"):
+            if raw == "x":
+                expected = 2, f"argument {option}: expected an integer, got 'x'"
+            elif int(raw) < low:
+                expected = 2, f"argument {option}: must be at least {low}, got {raw}"
+            else:
+                expected = _OPTION_RUNS[option]
+            yield pytest.param(base + [option, raw], *expected,
+                               id=f"{command} {option} {raw}")
+    for raw, message in (("2", "expected d1,d2, got '2'"),
+                         ("0,2", "must be at least 1, got 0"),
+                         ("2,x", "expected an integer, got 'x'"),
+                         ("1,1,1", "expected d1,d2, got '1,1,1'")):
+        yield pytest.param(_VALUE + ["--dims", raw], 2, f"argument --dims: {message}",
+                           id=f"value --dims {raw}")
+    yield pytest.param(["verify", "lemma-game", "--samples", "1", "--questions", "2"], 2,
+                       "error: lemma-game needs --questions 3 or more: a PCP game asks "
+                       "about triples of positions", id="verify lemma-game --questions 2")
+
+
+_OPTION_PARAMS = list(_option_runs())
+
+
+def _with_game(argv, game_file):
+    return [str(game_file) if a is None else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, code, message", _OPTION_PARAMS)
+def test_cli_checks_each_option_when_parsing(tmp_path, capsys, argv, code, message):
+    game_file = tmp_path / "chsh.game"
+    game_file.write_text(files.serialize_game(chsh()))
+    assert cli.run_cli(_with_game(argv, game_file)) == code
+    err = capsys.readouterr().err.strip()
+    if message is None:
+        assert err == ""
+    else:
+        assert err.splitlines()[-1].endswith(message), err
+
+
+_OPTION_CHECKS = """
+import contextlib, io, json, sys
+from provergames import cli
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_cli(argv)
+    lines = err.getvalue().strip().splitlines()
+    results.append([code, lines[-1] if lines else None])
+print(json.dumps(results))
+"""
+
+
+def test_cli_checks_each_option_under_optimize_flag(tmp_path):
+    game_file = tmp_path / "chsh.game"
+    game_file.write_text(files.serialize_game(chsh()))
+    cases = [p.values for p in _OPTION_PARAMS]
+    proc = _run_optimized(_OPTION_CHECKS,
+                          json.dumps([_with_game(argv, game_file) for argv, _, _ in cases]))
+    assert proc.returncode == 0, proc.stderr
+    for (argv, code, message), (got_code, got_line) in zip(cases, json.loads(proc.stdout)):
+        assert got_code == code, argv
+        assert (got_line is None) if message is None else got_line.endswith(message), argv

@@ -1,10 +1,12 @@
 """Exact simplex: the contract is exact feasibility and strong duality."""
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +255,118 @@ def test_beale_cycling_switches_to_bland_like_fraction_simplex():
     sol = _assert_same_solution(lp)
     assert sol.stats["bland_switches"] == 1
     assert sol.stats["degenerate_pivots"] > 40
+
+
+# the LPs of test_duals_certify_optimality and test_equality_and_geq_mix
+_LE_ROWS = _lp(2, (3, 5), [((1, 0), "<=", 4), ((0, 2), "<=", 12), ((3, 2), "<=", 18)])
+_EQ_GE_ROWS = _lp(2, (1, 2), [((1, 1), "==", 2), ((1, 0), ">=", F(1, 3))])
+
+
+def _at(values, k, value):
+    return values[:k] + (value,) + values[k + 1:]
+
+
+# each planted defect as (LP, change to its optimal solution, every defect
+# the check must name); _LARGE_LPS[1] runs the check on Python ints
+_PLANTED = {
+    "negative coordinate": (
+        _LE_ROWS, lambda s: dataclasses.replace(s, x=(F(-1), F(6))),
+        ["primal point has a negative coordinate",
+         "objective at primal point differs from reported value"]),
+    "violated <= row": (
+        _LE_ROWS, lambda s: dataclasses.replace(s, x=(F(4), F(6))),
+        ["constraint 2 violated: 24 > 18",
+         "objective at primal point differs from reported value"]),
+    "violated == row": (
+        _EQ_GE_ROWS, lambda s: dataclasses.replace(s, x=(F(1, 3), F(2))),
+        ["constraint 0 violated: 7/3 != 2",
+         "objective at primal point differs from reported value"]),
+    "violated >= row": (
+        _EQ_GE_ROWS, lambda s: dataclasses.replace(s, x=(F(0), F(2))),
+        ["constraint 1 violated: 0 < 1/3",
+         "objective at primal point differs from reported value"]),
+    "violated rows, large coefficients": (
+        _LARGE_LPS[0], lambda s: dataclasses.replace(s, x=_at(s.x, 0, s.x[0] + 1)),
+        ["constraint 0 violated: 1065524 > 1000003",
+         "constraint 2 violated: 1000046 > 1000033",
+         "constraint 3 violated: 11 != 10",
+         "objective at primal point differs from reported value"]),
+    "violated rows, Python ints": (
+        _LARGE_LPS[1], lambda s: dataclasses.replace(s, x=_at(s.x, 1, s.x[1] + 9)),
+        ["constraint 0 violated: 12069617576975684107268/1341068619663964900807"
+         " > 5/1341068619663964900807",
+         "constraint 1 violated: 24321600135837222146541/2682137239327929801614 > 9",
+         "objective at primal point differs from reported value"]),
+    "wrong value": (
+        _LARGE_LPS[1], lambda s: dataclasses.replace(s, value=s.value + 1),
+        ["objective at primal point differs from reported value",
+         "strong duality violated: dual objective 15/2682137239327929801614"]),
+    "negative dual of a <= row": (
+        _LE_ROWS, lambda s: dataclasses.replace(s, duals=_at(s.duals, 0, F(-1))),
+        ["dual 0 negative for a <= row", "dual infeasible at column 0: 2 < 3",
+         "strong duality violated: dual objective 32"]),
+    "positive dual of a >= row": (
+        _EQ_GE_ROWS, lambda s: dataclasses.replace(s, duals=_at(s.duals, 1, F(1))),
+        ["dual 1 positive for a >= row", "strong duality violated: dual objective 13/3"]),
+    "dual-infeasible columns": (
+        _LARGE_LPS[1], lambda s: dataclasses.replace(s, duals=(F(0), F(0))),
+        ["dual infeasible at column 0: 0 < 1/12157665459056928801",
+         "dual infeasible at column 1: 0 < 1",
+         "strong duality violated: dual objective 0"]),
+    "broken strong duality": (
+        _LE_ROWS, lambda s: dataclasses.replace(s, duals=_at(s.duals, 0, F(1))),
+        ["strong duality violated: dual objective 40"]),
+}
+
+
+@pytest.mark.parametrize("defect", _PLANTED)
+def test_certificate_check_names_each_planted_defect(defect):
+    lp, plant, expected = _PLANTED[defect]
+    sol = solve_lp(lp)
+    assert check_certificates(lp, sol) == []
+    assert check_certificates(lp, plant(sol)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_programs())
+def test_integer_form_decodes_to_the_dense_rows(lp):
+    _assert_form_decodes(lp)
+
+
+@pytest.mark.parametrize("lp", [_LE_ROWS, _EQ_GE_ROWS, *_LARGE_LPS])
+def test_integer_form_of_fixed_lps_decodes_to_the_dense_rows(lp):
+    _assert_form_decodes(lp)
+
+
+def _assert_form_decodes(lp):
+    """Each stored row over its scale is the dense row, with no zero kept;
+    the scale is the lcm of the row's denominators, and int64 holds every
+    array whose values fit."""
+    form = lp._rows
+    for i, c in enumerate(lp.constraints):
+        f = int(form.scale[i])
+        assert f == lcm(F(c.rhs).denominator, *(F(a).denominator for a in c.coeffs))
+        row = [F(0)] * lp.num_vars
+        cut = slice(form.indptr[i], form.indptr[i + 1])
+        for j, a in zip(form.indices[cut].tolist(), form.data[cut].tolist()):
+            assert a != 0
+            row[j] = F(a, f)
+        assert row == [F(a) for a in c.coeffs]
+        assert F(int(form.rhs[i]), f) == c.rhs
+        assert form.relations[i] == c.relation
+    assert [F(int(v), form.unit) for v in form.cost] == [F(a) for a in lp.objective]
+    for values in (form.data, form.scale, form.rhs, form.cost):
+        fits = all(abs(int(v)) < 2**63 for v in values)
+        assert (values.dtype == np.int64) == fits
+
+
+def test_no_signaling_lp_form_decodes_to_its_dense_rows(monkeypatch):
+    game = transforms.oracularize_multi_round(
+        random_multi_round_game(random.Random(0), q=3, a=2, rounds=2))
+    programs = []
+    monkeypatch.setattr(values, "solve_lp", lambda lp: programs.append(lp) or solve_lp(lp))
+    values.no_signaling_value(game)
+    (lp,) = programs
+    _assert_form_decodes(lp)
+    assert lp._rows.data.dtype == np.int64
+    assert set(lp._rows.data.tolist()) == {-1, 1}

@@ -84,6 +84,7 @@ def test_strategy_stacks_are_read_only_and_povms_are_views():
     assert s.M.shape == s.N.shape == (2, 2, 2, 2) and s.projective
     povm = s.povms2[1]
     assert np.shares_memory(povm.elements, s.N) and povm.projective
+    assert s.povms1 is s.povms1 and s.povms2 is s.povms2  # built once
     for arr in (s.M, s.N, povm.elements):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0

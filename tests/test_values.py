@@ -304,6 +304,16 @@ def test_size_guard_on_enumeration():
         classical_value(big)
 
 
+def test_size_guard_on_seesaw_game_operator(monkeypatch):
+    # d1 = d2 = 2 makes a 4 x 4 game operator, 16 entries
+    game = chsh().to_float()
+    monkeypatch.setenv("PROVERGAMES_MAX_TABLE", "15")
+    with pytest.raises(SizeGuardError, match="see-saw game operator needs 16 "):
+        values.entangled_lower_bound(game, dims=(2, 2), restarts=1, max_iters=1)
+    monkeypatch.setenv("PROVERGAMES_MAX_TABLE", "16")
+    values.entangled_lower_bound(game, dims=(2, 2), restarts=1, max_iters=1)
+
+
 def test_multi_round_single_round_point_mass():
     # r = 1: the optimum is the best fixed answer per question
     rng = random.Random(73)
