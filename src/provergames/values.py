@@ -7,6 +7,7 @@ value (exactly in rational mode, within 1e-9 in float mode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -239,15 +240,47 @@ def _objective(piR, psi_m, m_arr, n_arr):
     return float(np.real(np.einsum("qpab,qaik,pbki->", piR, m_arr, k)))
 
 
+@functools.cache
+def _pair_layers(outcomes):
+    """The outcome pairs, in ``itertools.combinations`` order, scheduled in
+    layers of disjoint pairs: ``(a, b)`` read-only index arrays per layer.
+
+    Each pair goes one layer after the last earlier pair that shares an
+    outcome with it, so every outcome's pairs keep their order and any two
+    pairs that share no outcome, which commute, may share a layer.
+    """
+    free = [0] * outcomes  # per outcome, the first layer it may join
+    layers = []
+    for a, b in itertools.combinations(range(outcomes), 2):
+        k = max(free[a], free[b])
+        if k == len(layers):
+            layers.append([])
+        layers[k].append((a, b))
+        free[a] = free[b] = k + 1
+    arrays = tuple(np.array(layer).T for layer in layers)
+    for pair in arrays:
+        pair.flags.writeable = False
+    return arrays
+
+
 def _resplit_pvms(m_arr, c_arr, sweeps=3):
     """Pairwise projector re-splits of every question's PVM at once.
 
     ``m_arr`` and ``c_arr`` are ``(Q, A, d, d)``.  For each outcome pair
-    (a, b), in a fixed order, each question's P = M_a + M_b is split onto the
-    nonnegative eigenspace of C_a - C_b compressed to the range of P; a
-    question keeps the split only if sum_a Tr(M_a C_a) rises by more than
-    1e-13, so it never drops.  Questions are batched by rank(P) into stacked
-    ``eigh`` calls, and a question leaves after a sweep with no change.
+    (a, b), in ``itertools.combinations`` order, each question's
+    P = M_a + M_b is split onto the nonnegative eigenspace of C_a - C_b
+    compressed to the range of P; a question keeps the split only if
+    sum_a Tr(M_a C_a) rises by more than 1e-13, so it never drops.  A
+    question leaves after a sweep with no change.
+
+    The pairs run in layers (``_pair_layers``), each layer one stack of
+    (question, pair) items, batched by rank(P) into stacked ``eigh`` calls.
+    The pairs of a layer read and write disjoint outcomes and the questions
+    are independent, so every item sees exactly the inputs it would see
+    pair by pair, and each stacked numpy call computes each item on its own:
+    the result is bit-identical to the pair-by-pair order, whatever the
+    stack holds.  That is also why questions of several see-saw restarts
+    may share one call.
     """
     m_arr = m_arr.copy()
     d = m_arr.shape[-1]
@@ -255,13 +288,14 @@ def _resplit_pvms(m_arr, c_arr, sweeps=3):
     active = np.ones(m_arr.shape[0], dtype=bool)
     for _ in range(sweeps):
         changed = np.zeros_like(active)
-        for a, b in itertools.combinations(range(m_arr.shape[1]), 2):
+        for a, b in _pair_layers(m_arr.shape[1]):
             p = m_arr[:, a] + m_arr[:, b]
-            rank = np.rint(np.einsum("qii->q", p).real).astype(int)
-            qs = np.flatnonzero(active & (rank > 0))
+            rank = np.rint(np.einsum("qlii->ql", p).real).astype(int)
+            qs, ls = np.nonzero(active[:, None] & (rank > 0))
             if qs.size == 0:
                 continue
-            p, rank, c_a, c_b = p[qs], rank[qs], c_arr[qs, a], c_arr[qs, b]
+            qa, qb = a[ls], b[ls]
+            p, rank, c_a, c_b = p[qs, ls], rank[qs, ls], c_arr[qs, qa], c_arr[qs, qb]
             vecs = np.linalg.eigh(p)[1]
             first = np.empty_like(p)
             for r in set(rank.tolist()):
@@ -274,10 +308,10 @@ def _resplit_pvms(m_arr, c_arr, sweeps=3):
             second = p - first
             sa = np.einsum("qij,qji->q", first, c_a).real
             sb = np.einsum("qij,qji->q", second, c_b).real
-            take = sa + sb > scores[qs, a] + scores[qs, b] + 1e-13
-            hit = qs[take]
-            m_arr[hit, a], m_arr[hit, b] = first[take], second[take]
-            scores[hit, a], scores[hit, b] = sa[take], sb[take]
+            take = sa + sb > scores[qs, qa] + scores[qs, qb] + 1e-13
+            hit, qa, qb = qs[take], qa[take], qb[take]
+            m_arr[hit, qa], m_arr[hit, qb] = first[take], second[take]
+            scores[hit, qa], scores[hit, qb] = sa[take], sb[take]
             changed[hit] = True
         active &= changed
         if not active.any():
@@ -292,11 +326,17 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
     Each restart alternates three half-steps: the optimal shared state for
     fixed measurements (top eigenvector of the game operator), then each
     prover's measurement update (pairwise projector re-splits against the
-    answer-conditional operators).  A measurement half-step re-splits all of
-    that prover's questions in one batched pass, with stacked ``eigh`` calls
-    per outcome pair.  Every half-step is monotone non-decreasing, the trace
-    of objectives is recorded, and the witness is the best strategy over all
-    restarts (ties keep the earliest restart).
+    answer-conditional operators).  Every half-step is monotone
+    non-decreasing, each restart stops once an iteration gains less than
+    1e-12 or after ``max_iters`` iterations, the trace of objectives is
+    recorded, and the witness is the restart with the highest final value
+    (ties keep the earliest restart).
+
+    The restarts run in lockstep.  Each live restart computes its own state
+    and conditional operators, and one ``_resplit_pvms`` call per prover
+    re-splits the questions of every live restart as one stack.  Restarts
+    share no data, and the re-split computes each question on its own, so
+    every restart follows the trajectory it would follow alone, bit for bit.
 
     ``classical_seed`` optionally adds a restart initialized at a
     deterministic strategy, which pins the result above that strategy's
@@ -308,6 +348,8 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
     check_table_size((d1 * d2)**2, "see-saw game operator")
     if restarts < 1 and classical_seed is None:
         raise ValueError("need at least one restart or a classical seed")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     if game.mode != scalars.FLOAT:
         raise scalars.ModeError("entangled_lower_bound requires a float-mode game "
                                 "(use game.to_float())")
@@ -321,41 +363,48 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
     starts.extend(quantum.random_strategy(rng, game, d1, d2)
                   for _ in range(restarts))
 
-    best_val, best_strategy, best_trace, restart_values = -1.0, None, None, []
-    for s in starts:
-        m_arr, n_arr, psi = s.M, s.N, s.state
-        trace = []
-        prev = -1.0
-        for _ in range(max_iters):
-            T = _game_operator(piR, m_arr, n_arr)
-            vals, vecs = np.linalg.eigh(T)
-            psi = vecs[:, -1]
-            val = float(vals[-1])
-            trace.append(val)
+    # per restart, in start order: its measurements, state and trace
+    m = [s.M for s in starts]
+    n = [s.N for s in starts]
+    psi_m = [None] * len(starts)
+    traces = [[] for _ in starts]
+    prev = [-1.0] * len(starts)
+    live = list(range(len(starts)))
+    for _ in range(max_iters):
+        if not live:
+            break
+        c1 = []
+        for i in live:
+            vals, vecs = np.linalg.eigh(_game_operator(piR, m[i], n[i]))
+            psi_m[i] = vecs[:, -1].reshape(d1, d2)
+            traces[i].append(float(vals[-1]))
+            k2 = np.einsum("ij,pakj,lk->pail", psi_m[i], n[i], psi_m[i].conj())
+            c1.append(np.einsum("qpab,pbil->qail", piR, k2))
+        stack = _resplit_pvms(np.concatenate([m[i] for i in live]), np.concatenate(c1))
+        c2 = []
+        for i, m_i in zip(live, np.split(stack, len(live))):
+            m[i] = m_i
+            traces[i].append(_objective(piR, psi_m[i], m[i], n[i]))
+            b = np.einsum("ij,qaik,kl->qajl", psi_m[i].conj(), m[i], psi_m[i])
+            c2.append(np.einsum("qpab,qajl->pblj", piR, b))
+        stack = _resplit_pvms(np.concatenate([n[i] for i in live]), np.concatenate(c2))
+        still = []
+        for i, n_i in zip(live, np.split(stack, len(live))):
+            n[i] = n_i
+            val = _objective(piR, psi_m[i], m[i], n[i])
+            traces[i].append(val)
+            if val - prev[i] < 1e-12:
+                continue
+            prev[i] = val
+            still.append(i)
+        live = still
 
-            psi_m = psi.reshape(d1, d2)
-            k2 = np.einsum("ij,pakj,lk->pail", psi_m, n_arr, psi_m.conj())
-            c1 = np.einsum("qpab,pbil->qail", piR, k2)
-            m_arr = _resplit_pvms(m_arr, c1)
-            trace.append(_objective(piR, psi_m, m_arr, n_arr))
-
-            b = np.einsum("ij,qaik,kl->qajl", psi_m.conj(), m_arr, psi_m)
-            c2 = np.einsum("qpab,qajl->pblj", piR, b)
-            n_arr = _resplit_pvms(n_arr, c2)
-            val = _objective(piR, psi_m, m_arr, n_arr)
-            trace.append(val)
-            if val - prev < 1e-12:
-                break
-            prev = val
-        restart_values.append(trace[-1])
-        if trace[-1] > best_val:
-            best_val = trace[-1]
-            best_trace = trace
-            best_strategy = quantum.QuantumStrategy(d1, d2, psi, m_arr, n_arr,
-                                                    projective=True)
-
+    restart_values = [trace[-1] for trace in traces]
+    best = max(range(len(starts)), key=restart_values.__getitem__)
+    best_strategy = quantum.QuantumStrategy(d1, d2, psi_m[best].ravel(), m[best],
+                                            n[best], projective=True)
     induced = quantum.to_bipartite_strategy(best_strategy, game)
     reported = eval_two_prover(game, induced)
     return ValueResult(reported, best_strategy, "see-saw", False,
-                       extras={"objective_trace": best_trace,
+                       extras={"objective_trace": traces[best],
                                "restart_values": restart_values})

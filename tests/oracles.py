@@ -433,6 +433,113 @@ def naive_improve_pvm(elems, c_list, sweeps=3):
     return elems
 
 
+def _sequential_resplit_pvms(m_arr, c_arr, sweeps=3):
+    """``values._resplit_pvms`` with the outcome pairs run one at a time,
+    in ``itertools.combinations`` order, each over the stack of questions."""
+    m_arr = m_arr.copy()
+    d = m_arr.shape[-1]
+    scores = np.einsum("qaij,qaji->qa", m_arr, c_arr).real
+    active = np.ones(m_arr.shape[0], dtype=bool)
+    for _ in range(sweeps):
+        changed = np.zeros_like(active)
+        for a, b in itertools.combinations(range(m_arr.shape[1]), 2):
+            p = m_arr[:, a] + m_arr[:, b]
+            rank = np.rint(np.einsum("qii->q", p).real).astype(int)
+            qs = np.flatnonzero(active & (rank > 0))
+            if qs.size == 0:
+                continue
+            p, rank, c_a, c_b = p[qs], rank[qs], c_arr[qs, a], c_arr[qs, b]
+            vecs = np.linalg.eigh(p)[1]
+            first = np.empty_like(p)
+            for r in set(rank.tolist()):
+                g = rank == r
+                basis = vecs[g, :, d - r:]
+                comp = basis.conj().swapaxes(1, 2) @ (c_a[g] - c_b[g]) @ basis
+                w, v = np.linalg.eigh((comp + comp.conj().swapaxes(1, 2)) / 2)
+                plus = basis @ (v * (w >= 0)[:, None, :])
+                first[g] = plus @ plus.conj().swapaxes(1, 2)
+            second = p - first
+            sa = np.einsum("qij,qji->q", first, c_a).real
+            sb = np.einsum("qij,qji->q", second, c_b).real
+            take = sa + sb > scores[qs, a] + scores[qs, b] + 1e-13
+            hit = qs[take]
+            m_arr[hit, a], m_arr[hit, b] = first[take], second[take]
+            scores[hit, a], scores[hit, b] = sa[take], sb[take]
+            changed[hit] = True
+        active &= changed
+        if not active.any():
+            break
+    return m_arr
+
+
+def sequential_seesaw(game, dims=(2, 2), restarts=10, max_iters=100,
+                      seed=0, classical_seed=None):
+    """``values.entangled_lower_bound`` with the restarts run one after
+    another, each measurement half-step re-split pair by pair
+    (``_sequential_resplit_pvms``): the library must match it bit for bit.
+
+    Returns the same ``ValueResult``; its extras also hold
+    ``"restart_iters"``, the iterations each restart ran, so a test can
+    show that its restarts stopped at different iterations.
+    """
+    from provergames import quantum
+    from provergames.games import eval_two_prover
+    from provergames.values import ValueResult, _game_operator, _objective
+
+    d1, d2 = dims
+    piR = game.pi[:, :, None, None] * game.R
+    rng = np.random.default_rng(seed)
+
+    starts = []
+    if classical_seed is not None:
+        starts.append(quantum.deterministic_strategy(
+            classical_seed, d1, d2, game.a1_count, game.a2_count))
+    starts.extend(quantum.random_strategy(rng, game, d1, d2)
+                  for _ in range(restarts))
+
+    best_val, best_strategy, best_trace, restart_values = -1.0, None, None, []
+    restart_iters = []
+    for s in starts:
+        m_arr, n_arr, psi = s.M, s.N, s.state
+        trace = []
+        prev = -1.0
+        for _ in range(max_iters):
+            T = _game_operator(piR, m_arr, n_arr)
+            vals, vecs = np.linalg.eigh(T)
+            psi = vecs[:, -1]
+            val = float(vals[-1])
+            trace.append(val)
+
+            psi_m = psi.reshape(d1, d2)
+            k2 = np.einsum("ij,pakj,lk->pail", psi_m, n_arr, psi_m.conj())
+            c1 = np.einsum("qpab,pbil->qail", piR, k2)
+            m_arr = _sequential_resplit_pvms(m_arr, c1)
+            trace.append(_objective(piR, psi_m, m_arr, n_arr))
+
+            b = np.einsum("ij,qaik,kl->qajl", psi_m.conj(), m_arr, psi_m)
+            c2 = np.einsum("qpab,qajl->pblj", piR, b)
+            n_arr = _sequential_resplit_pvms(n_arr, c2)
+            val = _objective(piR, psi_m, m_arr, n_arr)
+            trace.append(val)
+            if val - prev < 1e-12:
+                break
+            prev = val
+        restart_values.append(trace[-1])
+        restart_iters.append(len(trace) // 3)
+        if trace[-1] > best_val:
+            best_val = trace[-1]
+            best_trace = trace
+            best_strategy = quantum.QuantumStrategy(d1, d2, psi, m_arr, n_arr,
+                                                    projective=True)
+
+    induced = quantum.to_bipartite_strategy(best_strategy, game)
+    reported = eval_two_prover(game, induced)
+    return ValueResult(reported, best_strategy, "see-saw", False,
+                       extras={"objective_trace": best_trace,
+                               "restart_values": restart_values,
+                               "restart_iters": restart_iters})
+
+
 # ---------------------------------------------------------------------------
 # nested-loop references for the array-based two-prover tables: each returns
 # (pi, R) as nested lists, built one entry at a time

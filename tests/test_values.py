@@ -27,7 +27,7 @@ from provergames.sampling import (
     random_pcp_game,
     random_two_prover_game,
 )
-from provergames.transforms import OneInThreeFormula, pcp_from_1in3
+from provergames.transforms import OneInThreeFormula, oracularize_pcp_dummy, pcp_from_1in3
 from provergames.values import (
     classical_value,
     entangled_lower_bound,
@@ -42,6 +42,7 @@ from oracles import (
     brute_pcp,
     chsh_optimal_qubit_strategy,
     naive_improve_pvm,
+    sequential_seesaw,
 )
 
 
@@ -231,7 +232,7 @@ def _random_labelled_pvm(rng, d, outcomes):
 def test_batched_resplit_matches_per_question_reference(d):
     rng = np.random.default_rng(83 + d)
     mixed = False
-    for outcomes in (2, 3, 5):
+    for outcomes in (2, 3, 4, 5, 8):
         q = 12
         m = np.array([_random_labelled_pvm(rng, d, outcomes) for _ in range(q)])
         g = (rng.standard_normal((q, outcomes, d, d))
@@ -252,7 +253,62 @@ def test_batched_resplit_matches_per_question_reference(d):
             assert quantum.validate_povm(quantum.Povm(tuple(out[k]),
                                                       projective=True)) == []
             assert after[k] >= before[k] - 1e-12
+        # the stack read as the questions of three see-saw restarts: each
+        # restart's questions re-split alone come out bit for bit the same
+        alone = [values._resplit_pvms(mk, ck)
+                 for mk, ck in zip(np.split(m, 3), np.split(c, 3))]
+        assert np.array_equal(np.concatenate(alone), out)
     assert mixed
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_layers_schedule(n):
+    layers = [list(zip(a.tolist(), b.tolist())) for a, b in values._pair_layers(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    scheduled = [pair for layer in layers for pair in layer]
+    assert sorted(scheduled) == pairs  # every pair exactly once
+    for layer in layers:
+        outcomes = [o for pair in layer for o in pair]
+        assert len(set(outcomes)) == len(outcomes)  # disjoint pairs
+    for o in range(n):  # each outcome's pairs in combinations order
+        assert ([pair for pair in scheduled if o in pair]
+                == [pair for pair in pairs if o in pair])
+    assert len(layers) == max(0, 2 * n - 3)  # 13 layers for 28 pairs at n = 8
+
+
+def _assert_same_as_sequential(game, **kwargs):
+    """The see-saw equals the one-restart-at-a-time, pair-by-pair oracle
+    bit for bit; returns the iterations each restart ran."""
+    res = entangled_lower_bound(game, **kwargs)
+    ref = sequential_seesaw(game, **kwargs)
+    assert res.extras["objective_trace"] == ref.extras["objective_trace"]
+    assert res.extras["restart_values"] == ref.extras["restart_values"]
+    assert res.value == ref.value
+    for name in ("state", "M", "N"):
+        assert np.array_equal(getattr(res.witness, name), getattr(ref.witness, name))
+    return ref.extras["restart_iters"]
+
+
+def test_seesaw_matches_sequential_oracle_on_pcp_dummy():
+    g = oracularize_pcp_dummy(random_pcp_game(random.Random(8), positions=4))
+    iters = _assert_same_as_sequential(g.to_float(), dims=(2, 2), restarts=3,
+                                       max_iters=40, seed=1)
+    assert len(set(iters)) == 3  # the restarts stop at different iterations
+
+
+def test_seesaw_matches_sequential_oracle_on_magic_square():
+    g = magic_square_game().to_float()
+    assert (g.a1_count, g.a2_count) == (8, 2)
+    iters = _assert_same_as_sequential(g, dims=(4, 4), restarts=2, max_iters=6,
+                                       seed=3)
+    assert iters == [6, 6]  # every restart runs into max_iters
+
+
+@pytest.mark.parametrize("a1, a2", [(1, 2), (2, 3), (3, 1)])
+def test_seesaw_matches_sequential_oracle_from_classical_seed(a1, a2):
+    g = random_two_prover_game(random.Random(89 + a1), 3, 3, a1, a2)
+    _assert_same_as_sequential(g.to_float(), dims=(2, 2), restarts=2, max_iters=30,
+                               seed=a1, classical_seed=classical_value(g).witness)
 
 
 def test_seesaw_requires_float_mode():
@@ -264,6 +320,12 @@ def test_seesaw_rejects_bad_dims():
     with pytest.raises(ValueError):
         entangled_lower_bound(chsh().to_float(), dims=(0, 2), restarts=1,
                               max_iters=5, seed=0)
+
+
+def test_seesaw_rejects_no_iterations():
+    with pytest.raises(ValueError, match="max_iters"):
+        entangled_lower_bound(chsh().to_float(), dims=(2, 2), restarts=1,
+                              max_iters=0, seed=0)
 
 
 def test_value_chain_on_random_games():
