@@ -78,16 +78,10 @@ def _cells(game, name, shape):
         num = form.num.reshape(shape)
         cells = np.nonzero(num)
         values = num[cells]
-        texts = _texts(values, lambda v: scalars.format_scalar(Fraction(v, form.den)))
+        texts = scalars.map_distinct(lambda v: scalars.format_scalar(Fraction(v, form.den)),
+                                     values, str)
         ones = bool((values == form.den).all())
     return np.stack(cells, axis=-1).reshape(-1, len(shape)), texts, ones
-
-
-def _texts(values, fmt):
-    """``fmt`` of each entry of an integer array, called once per distinct
-    entry."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([fmt(v) for v in distinct.tolist()], dtype=str)[inverse.reshape(-1)]
 
 
 def _lines(token, rows, texts=None):
@@ -192,6 +186,8 @@ def parse_game(text):
         counts = [int(c) for c in counts_text.split()]
     except ValueError:
         raise ParseError(counts_line, "counts must be integers") from None
+    if min(counts, default=1) < 1:
+        raise ParseError(counts_line, f"counts must be positive, got {min(counts)}")
 
     label_tuples = None
     if labels:
@@ -277,10 +273,7 @@ def _index_lines(lines, dims, mode):
             break
         texts.append("1" if token == "accept" else parts[-1])
     n = len(rows)
-    try:
-        idx = np.array(rows, dtype=np.int64).reshape(n, k)
-    except OverflowError:  # out of range, reported below
-        idx = np.array(rows, dtype=object).reshape(n, k)
+    idx = scalars.int_array(rows).reshape(n, k)  # out of range is reported below
     outside = ((idx < 0) | (idx >= np.array(dims, dtype=np.int64))).any(axis=1)
     values, bad = {}, set()
     for t in dict.fromkeys(texts):
@@ -322,11 +315,8 @@ def _fill(table, flat, values, which):
         table.flat[flat[last]] = np.array(values, dtype=float)[which[last]]
         return table
     den = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    try:
-        column = np.array(scaled, dtype=np.int64)
-    except OverflowError:
-        column, table = np.array(scaled, dtype=object), table.astype(object)
+    column = scalars.int_array([v.numerator * (den // v.denominator) for v in values])
+    table = table.astype(column.dtype, copy=False)
     table.flat[flat[last]] = column[which[last]]
     return scalars.IntegerForm(table, den)
 

@@ -18,10 +18,11 @@ clauses share a variable triple (``transforms.pcp_from_1in3``).
 
 Every game and strategy holds its tables as read-only numpy arrays:
 float64 in float mode, an object array of ``Fraction``s in rational mode.
-A rational game also keeps each table's integer form
+A rational game or strategy also keeps each table's integer form
 (``scalars.IntegerForm``, see ``integer_form``), which its readers
-(``validate``, ``==``, ``to_float``, the files, the exact values and
-``parallel_repeat``) use instead of the ``Fraction``s.
+(``validate``, ``==``, ``to_float``, the files, the exact values,
+``parallel_repeat`` and ``is_no_signaling``) use instead of the
+``Fraction``s.
 Index tuples keep the flat lexicographic layout throughout: a multi-round
 game's ``pi`` is over Q^r and its ``R`` over Q^r x A^r (``qflat * A**r +
 aflat``), a multi-round strategy's round-k table is ``(Q^k * A^(k-1), A)``,
@@ -106,19 +107,22 @@ def _index_rows(data, width):
     return rows
 
 
-class _Game:
-    """What the three game models share: rational ``pi`` and ``R`` that keep
-    their integer forms, and equality on them."""
+class _Tables:
+    """What every game and strategy model shares: read-only tables of one
+    scalar mode that keep their integer forms, and equality on them."""
 
+    #: the tables; in rational mode each may be given as its integer form
+    _TABLES = ("pi", "R")
     #: integer index arrays compared before the tables
     _ROWS = ()
 
     def _set_tables(self):
-        """Store ``pi`` and ``R`` as read-only tables.  Either may be given
-        as its ``scalars.IntegerForm``, in rational mode; the ``Fraction``
-        table is then built from it and the form kept."""
+        """Check the mode and store the ``_TABLES`` as read-only tables.  A
+        table given as its ``scalars.IntegerForm``, in rational mode, is
+        built from it and the form kept."""
+        scalars.check_mode(self.mode)
         object.__setattr__(self, "_forms", {})
-        for name in ("pi", "R"):
+        for name in self._TABLES:
             data = getattr(self, name)
             if isinstance(data, scalars.IntegerForm):
                 if self.mode != scalars.RATIONAL:
@@ -130,11 +134,10 @@ class _Game:
             object.__setattr__(self, name, table)
 
     def integer_form(self, name):
-        """The ``scalars.IntegerForm`` of table ``name`` (``"pi"`` or
-        ``"R"``): the one the game was built with, else derived from the
-        ``Fraction``s on first use and kept.  None in float mode and for a
-        table holding an entry that is not a ``Fraction`` or an int, which
-        ``validate`` reports."""
+        """The ``scalars.IntegerForm`` of table ``name``: the one the model
+        was built with, else derived from the ``Fraction``s on first use and
+        kept.  None in float mode and for a table holding an entry that is
+        not a ``Fraction`` or an int, which ``validate`` reports."""
         forms = self._forms
         if name not in forms:
             form = None
@@ -147,9 +150,9 @@ class _Game:
         return forms[name]
 
     def exact_forms(self):
-        """The integer forms of ``pi`` and ``R``; ``ModeError`` when either
-        table has none."""
-        forms = self.integer_form("pi"), self.integer_form("R")
+        """The integer forms of the ``_TABLES``; ``ModeError`` when one of
+        them has none."""
+        forms = tuple(map(self.integer_form, self._TABLES))
         if any(form is None for form in forms):
             raise scalars.ModeError("table holds an entry that is not a Fraction or an int")
         return forms
@@ -160,13 +163,14 @@ class _Game:
         return getattr(self, name).astype(float) if form is None else form.floats()
 
     def __eq__(self, other):
-        """``_same_tables`` on shape, mode and the index arrays, then ``pi``
-        and ``R``: tables that both have integer forms compare on them, any
-        other pair entry by entry."""
-        same = _same_tables(self, other, self._ROWS)
-        if same is NotImplemented or not same:
-            return same
-        return all(self._same_table(other, n) for n in ("pi", "R"))
+        """Equal type, shape, mode and ``_ROWS``, then equal tables: two
+        with integer forms compare on them, any other pair entry by entry.
+        Labels and meta do not count."""
+        if type(self) is not type(other):
+            return NotImplemented
+        return (self.shape == other.shape and self.mode == other.mode
+                and all(_same_rows(getattr(self, n), getattr(other, n)) for n in self._ROWS)
+                and all(self._same_table(other, n) for n in self._TABLES))
 
     def _same_table(self, other, name):
         mine, theirs = self.integer_form(name), other.integer_form(name)
@@ -175,22 +179,15 @@ class _Game:
         return mine == theirs
 
 
-def _same_tables(a, b, names):
-    """Equal shape, mode and table entries; labels and meta do not count."""
-    if type(a) is not type(b):
-        return NotImplemented
-
-    def same(x, y):
-        if isinstance(x, tuple):
-            return len(x) == len(y) and all(map(same, x, y))
-        return np.array_equal(x, y)
-
-    return (a.shape == b.shape and a.mode == b.mode
-            and all(same(getattr(a, n), getattr(b, n)) for n in names))
+def _same_rows(x, y):
+    """Equal arrays, or equal tuples of arrays, entry by entry."""
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(np.array_equal, x, y))
+    return np.array_equal(x, y)
 
 
 @dataclass(frozen=True, eq=False)
-class TwoProverGame(_Game):
+class TwoProverGame(_Tables):
     """The six-tuple (Q1, Q2, A1, A2, R, pi) of a two-prover one-round game.
 
     ``pi`` is a ``(Q1, Q2)`` array and ``R`` a ``(Q1, Q2, A1, A2)`` array
@@ -209,7 +206,6 @@ class TwoProverGame(_Game):
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
         check_table_size(self.q1_count * self.q2_count
                          * (1 + self.a1_count * self.a2_count),
                          "two-prover game tables")
@@ -231,7 +227,7 @@ class TwoProverGame(_Game):
 
 
 @dataclass(frozen=True, eq=False)
-class MultiRoundGame(_Game):
+class MultiRoundGame(_Tables):
     """A single-prover game with ``rounds`` nonadaptive questions.
 
     ``pi`` is a ``(Q^r,)`` array over question tuples (lexicographic index)
@@ -251,7 +247,6 @@ class MultiRoundGame(_Game):
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
         check_table_size(self.q_count**self.rounds
                          * (1 + self.a_count**self.rounds),
                          "multi-round game tables")
@@ -263,7 +258,7 @@ class MultiRoundGame(_Game):
 
 
 @dataclass(frozen=True, eq=False)
-class PcpGame(_Game):
+class PcpGame(_Tables):
     """A three-query PCP game over ``positions`` proof cells.
 
     ``triples`` is a ``(T, 3)`` integer array of strictly increasing rows,
@@ -285,7 +280,6 @@ class PcpGame(_Game):
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
         object.__setattr__(self, "triples", _index_rows(self.triples, 3))
         check_table_size(len(self.triples) * (1 + self.alphabet_size**3),
                          "PCP game tables")
@@ -307,9 +301,12 @@ class PcpGame(_Game):
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteStrategy:
+class BipartiteStrategy(_Tables):
     """Conditional distribution table theta(a1, a2 | q1, q2), a read-only
-    ``(Q1, Q2, A1, A2)`` array like ``TwoProverGame.R``."""
+    ``(Q1, Q2, A1, A2)`` array like ``TwoProverGame.R``; in rational mode
+    it may be given as its integer form."""
+
+    _TABLES = ("theta",)
 
     q1_count: int
     q2_count: int
@@ -319,14 +316,10 @@ class BipartiteStrategy:
     mode: str = scalars.RATIONAL
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
         check_table_size(self.q1_count * self.q2_count
                          * self.a1_count * self.a2_count,
                          "conditional strategy table")
-        object.__setattr__(self, "theta", _table(self.theta, self.mode))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("theta",))
+        self._set_tables()
 
     @property
     def shape(self):
@@ -353,12 +346,16 @@ class DeterministicBipartiteStrategy:
 
 
 @dataclass(frozen=True, eq=False)
-class MultiRoundStrategy:
+class MultiRoundStrategy(_Tables):
     """Per-round conditional tables theta_k(a_k | q_1..q_k, a_1..a_{k-1}).
 
     ``tables[k-1]`` is a read-only ``(Q^k * A^(k-1), A)`` array whose row
     ``qflat * A**(k-1) + aflat`` is the distribution of the round-k answer.
+    The round tables compare entry by entry.
     """
+
+    _TABLES = ()
+    _ROWS = ("tables",)
 
     q_count: int
     a_count: int
@@ -367,12 +364,9 @@ class MultiRoundStrategy:
     mode: str = scalars.RATIONAL
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
+        self._set_tables()
         object.__setattr__(self, "tables",
                            tuple(_table(t, self.mode) for t in self.tables))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("tables",))
 
     @property
     def shape(self):
@@ -405,13 +399,17 @@ class MultiRoundStrategy:
 
 
 @dataclass(frozen=True, eq=False)
-class PcpProofDistribution:
+class PcpProofDistribution(_Tables):
     """A distribution over proof strings in A^Q.
 
     Without ``proofs``, ``theta`` is the dense ``(A^Q,)`` table over all
     proofs in lexicographic order (desk scale only).  With ``proofs``, an
     ``(n, Q)`` integer array, ``theta[i]`` is the weight of proof ``i``.
+    In rational mode ``theta`` may be given as its integer form.
     """
+
+    _TABLES = ("theta",)
+    _ROWS = ("proofs",)
 
     positions: int
     alphabet_size: int
@@ -420,17 +418,13 @@ class PcpProofDistribution:
     proofs: np.ndarray | None = None
 
     def __post_init__(self):
-        scalars.check_mode(self.mode)
         if self.proofs is None:
             check_table_size(self.alphabet_size**self.positions,
                              "dense proof distribution")
         else:
             object.__setattr__(self, "proofs",
                                _index_rows(self.proofs, self.positions))
-        object.__setattr__(self, "theta", _table(self.theta, self.mode))
-
-    def __eq__(self, other):
-        return _same_tables(self, other, ("theta", "proofs"))
+        self._set_tables()
 
     @property
     def shape(self):
@@ -500,6 +494,19 @@ def _check_mode_entries(values, form, mode, where, report):
     return values, None
 
 
+def _check_rows(table, axes, mode, where, report):
+    """Mode and distribution checks of each distribution over the last
+    ``axes`` axes of ``table``, reported under ``where(*index)``.  Only rows
+    with a wrong-mode or negative entry, or a sum off 1, can have problems;
+    they are reported row by row, in order."""
+    axis = tuple(range(table.ndim - axes, table.ndim))
+    suspect = ((_wrong_mode(table, mode) | (table < 0)).any(axis=axis)
+               | _off_one(scalars.total(table, mode, axis=axis), mode))
+    for index in np.argwhere(suspect).tolist():
+        _check_mode_entries(table[tuple(index)], None, mode, where(*index), report)
+        _check_dist(table[tuple(index)], mode, where(*index), report)
+
+
 def _outside_unit(num, den):
     """Mask of the entries outside [0, 1] of a table's ``(num, den)``."""
     return (num < 0) | (num > (1 if den is None else den))
@@ -534,6 +541,8 @@ def _check_tables(game, report):
 def _validate_pcp(game, report):
     if game.positions < 3:
         report.append("a three-query game needs at least 3 positions")
+    if game.alphabet_size < 1:
+        report.append("alphabet_size must be positive")
     t = game.triples
     if t.ndim != 2 or t.shape[1] != 3:
         report.append("triples must be rows of three positions")
@@ -584,17 +593,10 @@ def validate(obj):
     elif isinstance(obj, PcpGame):
         _validate_pcp(obj, report)
     elif isinstance(obj, BipartiteStrategy):
-        theta = obj.theta
-        if theta.shape != obj.shape:
+        if obj.theta.shape != obj.shape:
             report.append("theta dimensions do not match counts")
             return report
-        # only blocks with a wrong-mode or negative entry, or a sum off 1,
-        # can have problems; report them block by block, in order
-        suspect = ((_wrong_mode(theta, obj.mode) | (theta < 0)).any(axis=(2, 3))
-                   | _off_one(scalars.total(theta, obj.mode, axis=(2, 3)), obj.mode))
-        for q1, q2 in np.argwhere(suspect).tolist():
-            _check_mode_entries(theta[q1, q2], None, obj.mode, f"theta[{q1}][{q2}]", report)
-            _check_dist(theta[q1, q2], obj.mode, f"theta[{q1}][{q2}]", report)
+        _check_rows(obj.theta, 2, obj.mode, lambda q1, q2: f"theta[{q1}][{q2}]", report)
     elif isinstance(obj, MultiRoundStrategy):
         if len(obj.tables) != obj.rounds:
             report.append(f"strategy has {len(obj.tables)} round tables, "
@@ -604,21 +606,18 @@ def validate(obj):
             if table.shape != (obj.q_count**k * obj.a_count ** (k - 1), obj.a_count):
                 report.append(f"round {k} table has wrong length")
                 continue
-            suspect = (table < 0).any(axis=1) | _off_one(
-                scalars.total(table, obj.mode, axis=1), obj.mode)
-            for i in np.flatnonzero(suspect).tolist():
-                _check_dist(table[i], obj.mode, f"round {k} entry {i}", report)
+            _check_rows(table, 1, obj.mode, lambda i: f"round {k} entry {i}", report)
     elif isinstance(obj, PcpProofDistribution):
-        if obj.proofs is None:
-            if obj.theta.shape != (obj.alphabet_size**obj.positions,):
-                report.append("theta length does not match A^Q")
-            else:
-                _check_dist(obj.theta, obj.mode, "theta", report)
+        where = "theta" if obj.proofs is None else "mixture weights"
+        if obj.proofs is None and obj.theta.shape != (obj.alphabet_size**obj.positions,):
+            report.append("theta length does not match A^Q")
         else:
-            _check_dist(obj.theta, obj.mode, "mixture weights", report)
-            if obj.proofs.shape != (len(obj.theta), obj.positions):
-                report.append(f"proofs of shape {obj.proofs.shape} are not one row "
-                              f"of length {obj.positions} per weight")
+            form = _check_mode_entries(obj.theta, obj.integer_form("theta"), obj.mode,
+                                       where, report)
+            _check_dist(obj.theta, obj.mode, where, report, form)
+        if obj.proofs is not None and obj.proofs.shape != (len(obj.theta), obj.positions):
+            report.append(f"proofs of shape {obj.proofs.shape} are not one row "
+                          f"of length {obj.positions} per weight")
     else:
         raise TypeError(f"cannot validate {type(obj).__name__}")
     return report
@@ -699,8 +698,8 @@ def is_no_signaling(strategy, tol=None):
 
     A strategy is no-signaling when each prover's answer marginal does not
     depend on the other prover's question.  ``tol`` defaults to exact zero
-    in rational mode and 1e-9 in float mode.  A rational table is summed as
-    integer numerators over one denominator.
+    in rational mode and 1e-9 in float mode.  A rational table is summed on
+    the strategy's integer form.
     """
     mode = strategy.mode
     if tol is None:
@@ -708,7 +707,7 @@ def is_no_signaling(strategy, tol=None):
     theta, den = strategy.theta, None
     if mode == scalars.RATIONAL:
         # a violation is the difference of two sums of up to max(A1, A2) entries
-        form = scalars.IntegerForm.of(theta)
+        form, = strategy.exact_forms()
         theta, den = form.widen(terms=2 * max(strategy.a1_count, strategy.a2_count)), form.den
     # each prover's marginal, compared with the one at the other prover's
     # first question

@@ -80,12 +80,6 @@ def check_lp_size(num_vars, num_constraints):
             f"guard {MAX_VARS} x {MAX_CONSTRAINTS}")
 
 
-def _int_array(values):
-    """Python ints as ``int64`` if all fit, else as an ``object`` array."""
-    return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 2**63
-                    else object)
-
-
 def _top(a):
     """The largest absolute entry of an integer array, as a Python int."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
@@ -141,10 +135,10 @@ class _IntegerRows(NamedTuple):
             scale.append(f)
             rhs.append(ints[-1])
         idx, ints, unit = _read(objective)
-        cost = np.zeros(len(objective), dtype=_int_array(ints).dtype)
+        cost = np.zeros(len(objective), dtype=scalars.int_array(ints).dtype)
         cost[idx] = ints
-        return cls(np.array(indptr), np.array(indices, dtype=np.intp), _int_array(data),
-                   _int_array(scale), _int_array(rhs),
+        data, scale, rhs = map(scalars.int_array, (data, scale, rhs))
+        return cls(np.array(indptr), np.array(indices, dtype=np.intp), data, scale, rhs,
                    np.array([c.relation for c in constraints], dtype=object), cost, unit)
 
     def row_of(self):
@@ -380,7 +374,7 @@ def check_certificates(lp, sol):
                       else f"dual {k} positive for a >= row")
     # the duals over F * Y, F the lcm of the row scales, weigh the scaled rows
     F = lcm(*form.scale.tolist())
-    w = _int_array([y * (F // f) for y, f in zip(ys.tolist(), form.scale.tolist())])
+    w = scalars.int_array([y * (F // f) for y, f in zip(ys.tolist(), form.scale.tolist())])
     col = _sums(form.data, w[row_of], form.indices, lp.num_vars)
     for j in np.flatnonzero(col.astype(object) * form.unit < form.cost.astype(object) * (F * Y)):
         issues.append(f"dual infeasible at column {j}: {Fraction(int(col[j]), F * Y)} "

@@ -9,11 +9,13 @@ quantum-derived tables can never be rational.
 
 A rational table also has an integer form (``IntegerForm``): numerators
 over one common denominator in lowest terms, the way a rational matrix is
-an integer matrix plus a denominator.  Games keep their tables' forms:
-code that computes numerators hands the form in and the ``Fraction`` table
-is built from it (``rationals``, one ``Fraction`` per distinct numerator);
-a table given as ``Fraction``s derives its form once, on first use.
-Readers that compare, sum, convert or write a whole table read the form.
+an integer matrix plus a denominator.  Games and strategies keep their
+tables' forms: code that computes numerators hands the form in and the
+``Fraction`` table is built from it (``rationals``, one ``Fraction`` per
+distinct numerator); a table given as ``Fraction``s derives its form once,
+on first use.  Readers that compare, sum, convert or write a whole table
+read the form.  Integer arrays are int64 or Python ints by one rule,
+``int_array``.
 """
 
 from __future__ import annotations
@@ -81,19 +83,16 @@ class IntegerForm:
     __slots__ = ("num", "den", "bound")
 
     def __init__(self, num, den):
-        num = np.asarray(num)
-        if num.dtype != object:
-            num = num.astype(np.int64, copy=False)
+        num = int_array(num)
         g = math.gcd(den, *(num.ravel().tolist() if num.dtype == object
                             else [int(np.gcd.reduce(num, axis=None))]))
         if g > 1:
             den //= g
             if num.any():  # else g is den, which may not fit int64
-                num = num // g
-        lo, hi = int(num.min(initial=0)), int(num.max(initial=0))
-        num = np.array(num, dtype=np.int64 if -2**63 <= lo and hi < 2**63 else object)
+                num = int_array(num // g)
         num.flags.writeable = False
-        self.num, self.den, self.bound = num, den, max(den, hi, -lo)
+        self.num, self.den = num, den
+        self.bound = max(den, int(num.max(initial=0)), -int(num.min(initial=0)))
 
     @classmethod
     def of(cls, table):
@@ -104,11 +103,7 @@ class IntegerForm:
             raise ModeError("table holds an entry that is not a Fraction or an int")
         dens = [v.denominator for v in flat]
         den = math.lcm(*set(dens))
-        num = [v.numerator * (den // d) for v, d in zip(flat, dens)]
-        try:
-            num = np.array(num, dtype=np.int64)
-        except OverflowError:
-            num = np.array(num, dtype=object)
+        num = int_array([v.numerator * (den // d) for v, d in zip(flat, dens)])
         return cls(num.reshape(np.shape(table)), den)
 
     def __eq__(self, other):
@@ -137,17 +132,33 @@ class IntegerForm:
         """
         if self.bound < 2**53:
             return self.num / self.den
-        values, inverse = np.unique(self.num, return_inverse=True)
-        quotients = np.array([int(v) / self.den for v in values], dtype=float)
-        return quotients[inverse.reshape(self.num.shape)]
+        return map_distinct(lambda v: v / self.den, self.num, float)
+
+
+def int_array(values):
+    """Integers (Python ints, nested or not, or an integer array) as an
+    int64 array when every one is below 2**63 in absolute value, else as
+    an object array of Python ints.  The bound is symmetric, so negating
+    an int64 result cannot wrap."""
+    try:
+        ints = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    return ints.astype(object) if ints.min(initial=0) == -2**63 else ints
+
+
+def map_distinct(fn, values, dtype=object):
+    """``fn`` of every entry of ``values`` as an array of their shape and
+    ``dtype``, called once per distinct entry, on it as a Python scalar."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    mapped = np.array([fn(v) for v in distinct.tolist()], dtype=dtype)
+    return mapped[inverse.reshape(np.shape(values))]
 
 
 def rationals(num, den):
     """The read-only ``Fraction`` table ``num / den``, with one ``Fraction``
     made per distinct numerator."""
-    values, inverse = np.unique(num, return_inverse=True)
-    fractions = np.array([Fraction(int(v), den) for v in values], dtype=object)
-    table = fractions[inverse.reshape(np.shape(num))]
+    table = map_distinct(lambda v: Fraction(v, den), num)
     table.flags.writeable = False
     return table
 

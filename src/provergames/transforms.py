@@ -174,7 +174,6 @@ def oracularize_pcp_dummy(game):
                      "oracularize_pcp_dummy predicate")
     third = Fraction(1, 3) if game.mode == scalars.RATIONAL else 1.0 / 3.0
     zero, one = scalars.zero(game.mode), scalars.one(game.mode)
-    half = Fraction(1, 2) if game.mode == scalars.RATIONAL else 0.5
     dtype = scalars.dtype(game.mode)
 
     # [t][pair]: coordinate of u and of v in the triple (-1 if absent), and
@@ -183,20 +182,17 @@ def oracularize_pcp_dummy(game):
     jv = _probe_coords(triples, [v for _, v in pairs])
     w_u = np.where(ju >= 0, np.array([third * marg[v] for _, v in pairs], dtype=dtype), zero)
     w_v = np.where(jv >= 0, np.array([third * marg[u] for u, _ in pairs], dtype=dtype), zero)
-    same = np.array([u == v for u, v in pairs])
-    w_total = np.where(same, w_u, w_u + w_v)
-    pi = game.pi[sup][:, None] * w_total
+    w_sum = w_u + w_v
+    pi = game.pi[sup][:, None] * np.where([u == v for u, v in pairs], w_u, w_sum)
 
     # acc[t][pair][hit_u][hit_v]: the consistency acceptance given whether
-    # the pair's first and second answers match the first prover at u and v
+    # the pair's first and second answers match the first prover at u and v;
+    # for u == v both weights are equal, and it is the mean of the two checks
     hit = np.array([zero, one], dtype=dtype)
-    averaged = half * (hit[:, None] + hit[None, :])  # u == v: both checks read u
     mixed = ((w_u[..., None, None] * hit[:, None] + w_v[..., None, None] * hit[None, :])
-             / np.where(w_total != 0, w_total, one)[..., None, None])
-    acc = np.where(same[:, None, None],
-                   np.where((ju >= 0)[..., None, None], averaged, one),
-                   # a measure-zero pair's consistency is vacuous
-                   np.where((w_total != 0)[..., None, None], mixed, one))
+             / np.where(w_sum != 0, w_sum, one)[..., None, None])
+    # a measure-zero pair's consistency is vacuous
+    acc = np.where((w_sum != 0)[..., None, None], mixed, one)
     digits1, digits2 = digit_table(a, 3), digit_table(a, 2)
 
     def hits(j, c):

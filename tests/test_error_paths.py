@@ -78,6 +78,10 @@ def test_validate_proof_mixture():
     assert any("length" in r for r in validate(short))
     unnormalized = PcpProofDistribution(3, 2, (Fraction(1, 3),), proofs=((0, 0, 0),))
     assert any("normalization" in r for r in validate(unnormalized))
+    mixed = PcpProofDistribution(3, 2, (0.5, Fraction(1, 2)), proofs=((0, 0, 0), (1, 1, 1)))
+    assert validate(mixed) == ["mixture weights: entry 0.5 does not match mode rational"]
+    dense = PcpProofDistribution(3, 2, (Fraction(1, 8),) * 7 + (0.125,))
+    assert validate(dense) == ["theta: entry 0.125 does not match mode rational"]
 
 
 def test_validate_multi_round_strategy():
@@ -85,6 +89,16 @@ def test_validate_multi_round_strategy():
         (Fraction(1, 2), Fraction(1, 4)),
         (Fraction(1), Fraction(0))),))
     assert any("normalization" in r for r in validate(bad))
+    mixed = MultiRoundStrategy(1, 2, 1, [[[0.5, Fraction(1, 2)]]], "rational")
+    assert validate(mixed) == ["round 1 entry 0: entry 0.5 does not match mode rational"]
+    # once per suspect round row, with the row's other faults after it
+    rows = MultiRoundStrategy(2, 2, 2, (
+        ((Fraction(1), Fraction(0)), (0.5, Fraction(1, 4))),
+        ((Fraction(1, 2),) * 2,) * 7 + ((Fraction(1), 0.0),)))
+    assert validate(rows) == [
+        "round 1 entry 1: entry 0.5 does not match mode rational",
+        "round 1 entry 1: normalization violated, sum = 0.75",
+        "round 2 entry 7: entry 0.0 does not match mode rational"]
 
 
 def test_validate_multi_round_strategy_with_too_few_round_tables():

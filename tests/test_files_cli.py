@@ -15,7 +15,7 @@ import pytest
 
 from provergames import cli, files, rounding
 from provergames.catalog import chsh, magic_square_game, tiny_1in3, tiny_1in3_formula
-from provergames.games import validate
+from provergames.games import PcpGame, validate
 from provergames.rounding import InequalityReport, InequalityRow
 from provergames.sampling import random_multi_round_game, random_pcp_game
 from provergames.transforms import (
@@ -216,6 +216,35 @@ def test_cli_exit_codes_for_usage_and_parse_errors(tmp_path):
     game_file = tmp_path / "tiny.game"
     cli.run_cli(["catalog", "tiny-1in3", "-o", str(game_file)])
     assert cli.run_cli(["value", "classical", str(game_file)]) == 2
+
+
+@pytest.mark.parametrize("kind, counts, body", [
+    ("two_prover_one_round", "-1 2 2 2", "pi 0 0 1\n"),
+    ("pcp3", "3 -2", "pi 0 1 2 1\n"),
+    ("multi_round", "-2 2 2", ""),
+    ("multi_round", "2 2 0", ""),
+])
+def test_parse_refuses_counts_below_one_at_their_line(kind, counts, body):
+    text = f"format_version 1\nkind {kind}\nmode rational\ncounts {counts}\n{body}"
+    with pytest.raises(files.ParseError) as err:
+        files.parse_game(text)
+    low = min(map(int, counts.split()))
+    assert str(err.value) == f"line 4: counts must be positive, got {low}"
+
+
+@pytest.mark.parametrize("command", [["value", "pcp"], ["transform", "oracularize"],
+                                     ["transform", "oracularize-dummy"]])
+def test_cli_refuses_a_pcp_alphabet_of_zero(tmp_path, capsys, command):
+    game_file, out = tmp_path / "empty.game", tmp_path / "out.game"
+    game_file.write_text("format_version 1\nkind pcp3\nmode rational\ncounts 3 0\n"
+                         "pi 0 1 2 1\n")
+    output = ["-o", str(out)] if command[0] == "transform" else []
+    assert cli.run_cli(command + [str(game_file)] + output) == 2
+    assert capsys.readouterr().err == "error: line 4: counts must be positive, got 0\n"
+    assert not out.exists()
+    # a game built in memory is refused by validate
+    game = PcpGame(3, 0, [(0, 1, 2)], [Fraction(1)], [[]])
+    assert validate(game) == ["alphabet_size must be positive"]
 
 
 @pytest.mark.parametrize("raw", ["1e7", "0", "-5"])

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from provergames import files, scalars, values
 from provergames.catalog import chsh, magic_square_game
 from provergames.games import (
+    BipartiteStrategy,
     MultiRoundGame,
     PcpGame,
     PcpProofDistribution,
     TwoProverGame,
     eval_multi_round,
     eval_pcp,
+    is_no_signaling,
+    uniform_bipartite,
     validate,
 )
 from provergames.indexing import iter_tuples
@@ -248,6 +251,18 @@ def test_to_float_is_float_of_each_fraction():
                     np.array([float(v) for v in near.pi.flat]).reshape(2, 2))
 
 
+def test_int_array_is_int64_exactly_below_2_63_in_absolute_value():
+    for fits in ([2**63 - 1], [-(2**63 - 1)], [[1, 2**63 - 1], [-(2**63 - 1), 0]], []):
+        a = scalars.int_array(fits)
+        assert a.dtype == np.int64 and a.tolist() == fits
+    # -2**63 fits int64, but its negation would wrap to itself
+    for past in ([-2**63], [2**63], [[0, 2**63], [1, 2]], np.array([5, -2**63])):
+        a = scalars.int_array(past)
+        assert a.dtype == object and a.tolist() == np.asarray(past, dtype=object).tolist()
+        assert all(type(v) is int for v in a.ravel().tolist())
+    assert scalars.int_array(np.array([3, -2**62], dtype=object)).dtype == np.int64
+
+
 def test_integer_form_is_in_lowest_terms():
     form = scalars.IntegerForm(np.array([[2, 4], [0, 6]]), 12)
     assert form.num.tolist() == [[1, 2], [0, 3]] and form.den == 6
@@ -290,6 +305,23 @@ def test_games_compare_on_their_canonical_forms():
     assert wrong != chsh_game
 
 
+def test_strategies_compare_on_their_forms():
+    theta = np.full((2, 2, 2, 2), Fraction(1, 4), dtype=object)
+    given = BipartiteStrategy(2, 2, 2, 2, theta)
+    handed = BipartiteStrategy(2, 2, 2, 2, scalars.IntegerForm(np.full((2, 2, 2, 2), 3), 12))
+    assert (given == handed) is True and (handed == given) is True
+    assert handed.integer_form("theta").den == 4
+    assert_same_fractions(handed.theta, theta)
+    assert (given == chsh()) is False
+    assert given != BipartiteStrategy(2, 2, 2, 2, theta.astype(float), "float")
+    # the proof strings count: a mixture is not the dense table it spells
+    point = PcpProofDistribution(3, 1, [Fraction(1)], proofs=[(0, 0, 0)])
+    assert point != PcpProofDistribution(3, 1, [Fraction(1)])
+    assert point == PcpProofDistribution(3, 1, scalars.IntegerForm([2], 2), proofs=[(0, 0, 0)])
+    with pytest.raises(scalars.ModeError):
+        BipartiteStrategy(1, 1, 1, 1, scalars.IntegerForm([[[[1]]]], 1), "float")
+
+
 @settings(max_examples=25, deadline=None)
 @given(two_prover_games(max_q=2, max_a=2), st.integers(1, 2))
 def test_repeated_mixed_denominator_games_survive_the_file_round_trip(game, n):
@@ -327,3 +359,6 @@ def test_readers_derive_each_integer_form_at_most_once():
         parsed.to_float()
         classical_value(chsh())  # two derivations of its own
         assert spy.call_count == 6
+        strategy = uniform_bipartite(2, 2, 2, 2)
+        assert is_no_signaling(strategy) == is_no_signaling(strategy) == (True, 0)
+        assert spy.call_count == 7

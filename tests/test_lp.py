@@ -235,6 +235,16 @@ def test_tableau_promotes_to_python_ints_past_int64_safe_range(lp):
     assert sol.stats["promoted"] and sol.stats["max_bits"] >= 32
 
 
+def test_a_minus_2_63_coefficient_on_a_flipped_row_does_not_wrap():
+    # the first row has a negative right-hand side, so the solver negates it;
+    # in int64, -(-2**63) would wrap to -2**63
+    lp = _lp(2, (2, 1), [((-2**63, -1), ">=", -2**63), ((1, 1), "<=", 5)])
+    assert lp._rows.data.dtype == object
+    sol = _assert_same_solution(lp)
+    assert sol.status == "optimal"
+    assert sol.x == (F(2**63 - 5, 2**63 - 1), F(4 * 2**63, 2**63 - 1))
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
