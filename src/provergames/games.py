@@ -618,6 +618,12 @@ def validate(obj):
         if obj.proofs is not None and obj.proofs.shape != (len(obj.theta), obj.positions):
             report.append(f"proofs of shape {obj.proofs.shape} are not one row "
                           f"of length {obj.positions} per weight")
+        elif obj.proofs is not None:
+            bad = (obj.proofs < 0) | (obj.proofs >= obj.alphabet_size)
+            for i in np.flatnonzero(bad.any(axis=1)):
+                j = int(np.argmax(bad[i]))  # the row's first letter out of range
+                report.append(f"proof {i} has letter {obj.proofs[i, j]} at position {j}, "
+                              f"outside 0..{obj.alphabet_size - 1}")
     else:
         raise TypeError(f"cannot validate {type(obj).__name__}")
     return report

@@ -242,39 +242,36 @@ def _objective(piR, psi_m, m_arr, n_arr):
 
 @functools.cache
 def _pair_layers(outcomes):
-    """The outcome pairs, in ``itertools.combinations`` order, scheduled in
-    layers of disjoint pairs: ``(a, b)`` read-only index arrays per layer.
-
-    Each pair goes one layer after the last earlier pair that shares an
-    outcome with it, so every outcome's pairs keep their order and any two
-    pairs that share no outcome, which commute, may share a layer.
+    """The outcome pairs on a round-robin schedule (the circle method):
+    ``(a, b)`` read-only index arrays per layer, ``a < b``.  Outcome 0 stays
+    put and the others rotate one place per layer, with a bye when A is odd,
+    so the pairs of a layer share no outcome and commute: A - 1 layers for
+    even A, A for odd A, none for A = 1.
     """
-    free = [0] * outcomes  # per outcome, the first layer it may join
-    layers = []
-    for a, b in itertools.combinations(range(outcomes), 2):
-        k = max(free[a], free[b])
-        if k == len(layers):
-            layers.append([])
-        layers[k].append((a, b))
-        free[a] = free[b] = k + 1
-    arrays = tuple(np.array(layer).T for layer in layers)
-    for pair in arrays:
-        pair.flags.writeable = False
-    return arrays
+    n = outcomes + outcomes % 2  # outcome n - 1 is the bye when A is odd
+    ring, layers = list(range(n)), []
+    for _ in range(n - 1):
+        pairs = [sorted(p) for p in zip(ring[:n // 2], ring[::-1]) if max(p) < outcomes]
+        if pairs:
+            layers.append(np.array(pairs).T)
+            layers[-1].flags.writeable = False
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(layers)
 
 
 def _resplit_pvms(m_arr, c_arr, sweeps=3):
     """Pairwise projector re-splits of every question's PVM at once.
 
     ``m_arr`` and ``c_arr`` are ``(Q, A, d, d)``.  For each outcome pair
-    (a, b), in ``itertools.combinations`` order, each question's
-    P = M_a + M_b is split onto the nonnegative eigenspace of C_a - C_b
-    compressed to the range of P; a question keeps the split only if
-    sum_a Tr(M_a C_a) rises by more than 1e-13, so it never drops.  A
-    question leaves after a sweep with no change.
+    (a, b) of the round-robin schedule (``_pair_layers``), each question's
+    P = M_a + M_b is split onto the nonnegative eigenspace of D = C_a - C_b
+    compressed to the range of P: the eigenvectors with eigenvalue >= 0 of
+    herm(P D P - (1 + |D|_F)(I - P)), whose shift puts the kernel of P below
+    the compression's spectrum, span M_a, and M_b = P - M_a.  A question
+    keeps the split only if sum_a Tr(M_a C_a) rises by more than 1e-13, so
+    it never drops; it leaves after a sweep with no change.
 
-    The pairs run in layers (``_pair_layers``), each layer one stack of
-    (question, pair) items, batched by rank(P) into stacked ``eigh`` calls.
+    Each layer's (question, pair) items are split by one stacked ``eigh``.
     The pairs of a layer read and write disjoint outcomes and the questions
     are independent, so every item sees exactly the inputs it would see
     pair by pair, and each stacked numpy call computes each item on its own:
@@ -283,28 +280,23 @@ def _resplit_pvms(m_arr, c_arr, sweeps=3):
     may share one call.
     """
     m_arr = m_arr.copy()
-    d = m_arr.shape[-1]
+    eye = np.eye(m_arr.shape[-1])
     scores = np.einsum("qaij,qaji->qa", m_arr, c_arr).real
     active = np.ones(m_arr.shape[0], dtype=bool)
     for _ in range(sweeps):
         changed = np.zeros_like(active)
         for a, b in _pair_layers(m_arr.shape[1]):
             p = m_arr[:, a] + m_arr[:, b]
-            rank = np.rint(np.einsum("qlii->ql", p).real).astype(int)
-            qs, ls = np.nonzero(active[:, None] & (rank > 0))
+            qs, ls = np.nonzero(active[:, None] & (np.rint(np.einsum("qlii->ql", p).real) > 0))
             if qs.size == 0:
                 continue
             qa, qb = a[ls], b[ls]
-            p, rank, c_a, c_b = p[qs, ls], rank[qs, ls], c_arr[qs, qa], c_arr[qs, qb]
-            vecs = np.linalg.eigh(p)[1]
-            first = np.empty_like(p)
-            for r in set(rank.tolist()):
-                g = rank == r
-                basis = vecs[g, :, d - r:]
-                comp = basis.conj().swapaxes(1, 2) @ (c_a[g] - c_b[g]) @ basis
-                w, v = np.linalg.eigh((comp + comp.conj().swapaxes(1, 2)) / 2)
-                plus = basis @ (v * (w >= 0)[:, None, :])
-                first[g] = plus @ plus.conj().swapaxes(1, 2)
+            p, c_a, c_b = p[qs, ls], c_arr[qs, qa], c_arr[qs, qb]
+            diff = c_a - c_b
+            h = p @ diff @ p - (1 + np.linalg.norm(diff, axis=(1, 2)))[:, None, None] * (eye - p)
+            w, v = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+            plus = v * (w >= 0)[:, None, :]
+            first = plus @ plus.conj().swapaxes(1, 2)
             second = p - first
             sa = np.einsum("qij,qji->q", first, c_a).real
             sb = np.einsum("qij,qji->q", second, c_b).real
@@ -325,8 +317,9 @@ def entangled_lower_bound(game, dims=(2, 2), restarts=10, max_iters=100,
 
     Each restart alternates three half-steps: the optimal shared state for
     fixed measurements (top eigenvector of the game operator), then each
-    prover's measurement update (pairwise projector re-splits against the
-    answer-conditional operators).  Every half-step is monotone
+    prover's measurement update (``_resplit_pvms``: pairwise projector
+    re-splits against the answer-conditional operators, the outcome pairs on
+    a round-robin schedule).  Every half-step is monotone
     non-decreasing, each restart stops once an iteration gains less than
     1e-12 or after ``max_iters`` iterations, the trace of objectives is
     recorded, and the witness is the restart with the highest final value

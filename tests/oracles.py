@@ -392,6 +392,27 @@ def chsh_optimal_qubit_strategy():
     return QuantumStrategy(2, 2, state, alice, bob, projective=True)
 
 
+def round_robin_layers(outcomes):
+    """The circle-method schedule of the outcome pairs, as a list of layers
+    of ``(a, b)`` pairs with ``a < b``.
+
+    Written from its closed form: with a bye ``n - 1`` added when the count
+    is odd, layer k seats outcome 0 at place 0 and outcome
+    1 + (i - 1 - k) mod (n - 1) at place i >= 1, and pairs place i with
+    place n - 1 - i.  Pairs with the bye are dropped, and so are layers left
+    empty.
+    """
+    n = outcomes + outcomes % 2
+    layers = []
+    for k in range(n - 1):
+        seat = [0] + [1 + (i - 1 - k) % (n - 1) for i in range(1, n)]
+        layer = [tuple(sorted((seat[i], seat[n - 1 - i]))) for i in range(n // 2)]
+        layer = [pair for pair in layer if pair[1] < outcomes]
+        if layer:
+            layers.append(layer)
+    return layers
+
+
 def _naive_split_projector(p_elem, rank, c_diff):
     vals, vecs = np.linalg.eigh(p_elem)
     basis = vecs[:, np.argsort(vals)[::-1][:rank]]
@@ -405,59 +426,79 @@ def _naive_split_projector(p_elem, rank, c_diff):
 def naive_improve_pvm(elems, c_list, sweeps=3):
     """One question's see-saw measurement update, one matrix at a time.
 
-    Sweeps the outcome pairs (a, b) in order; each pair's projector
-    P = M_a + M_b is re-split onto the nonnegative eigenspace of the
-    compressed C_a - C_b, kept only if sum Tr(M_a C_a) rises by more than
-    1e-13.  Rank-0 pairs are skipped; a sweep with no change ends the loop.
+    Sweeps the outcome pairs (a, b) in round-robin order
+    (``round_robin_layers``); each pair's projector P = M_a + M_b is
+    re-split in an eigenbasis of the range of P onto the nonnegative
+    eigenspace of the compressed C_a - C_b, kept only if sum Tr(M_a C_a)
+    rises by more than 1e-13.  Rank-0 pairs are skipped; a sweep with no
+    change ends the loop.
     """
-    outcomes = len(elems)
     elems = [np.array(e, dtype=complex) for e in elems]
     scores = [float(np.real(np.trace(e @ c))) for e, c in zip(elems, c_list)]
+    pairs = [pair for layer in round_robin_layers(len(elems)) for pair in layer]
     for _ in range(sweeps):
         changed = False
-        for a in range(outcomes):
-            for b in range(a + 1, outcomes):
-                p = elems[a] + elems[b]
-                rank = int(round(float(np.real(np.trace(p)))))
-                if rank == 0:
-                    continue
-                new_a, new_b = _naive_split_projector(p, rank, c_list[a] - c_list[b])
-                sa = float(np.real(np.trace(new_a @ c_list[a])))
-                sb = float(np.real(np.trace(new_b @ c_list[b])))
-                if sa + sb > scores[a] + scores[b] + 1e-13:
-                    elems[a], elems[b] = new_a, new_b
-                    scores[a], scores[b] = sa, sb
-                    changed = True
+        for a, b in pairs:
+            p = elems[a] + elems[b]
+            rank = int(round(float(np.real(np.trace(p)))))
+            if rank == 0:
+                continue
+            new_a, new_b = _naive_split_projector(p, rank, c_list[a] - c_list[b])
+            sa = float(np.real(np.trace(new_a @ c_list[a])))
+            sb = float(np.real(np.trace(new_b @ c_list[b])))
+            if sa + sb > scores[a] + scores[b] + 1e-13:
+                elems[a], elems[b] = new_a, new_b
+                scores[a], scores[b] = sa, sb
+                changed = True
         if not changed:
             break
     return elems
 
 
-def _sequential_resplit_pvms(m_arr, c_arr, sweeps=3):
-    """``values._resplit_pvms`` with the outcome pairs run one at a time,
-    in ``itertools.combinations`` order, each over the stack of questions."""
+def _shifted_split(p, c_a, c_b):
+    """The library's split of each item: the nonnegative eigenvectors of
+    herm(P D P - (1 + |D|_F)(I - P)), D = C_a - C_b."""
+    diff = c_a - c_b
+    shift = (1 + np.linalg.norm(diff, axis=(1, 2)))[:, None, None]
+    h = p @ diff @ p - shift * (np.eye(p.shape[-1]) - p)
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+    plus = v * (w >= 0)[:, None, :]
+    return plus @ plus.conj().swapaxes(1, 2)
+
+
+def _range_basis_split(p, c_a, c_b):
+    """The earlier split: C_a - C_b compressed to the range basis of
+    ``eigh(P)``, one ``eigh`` per rank of P."""
+    d = p.shape[-1]
+    rank = np.rint(np.einsum("qii->q", p).real).astype(int)
+    vecs = np.linalg.eigh(p)[1]
+    first = np.empty_like(p)
+    for r in set(rank.tolist()):
+        g = rank == r
+        basis = vecs[g, :, d - r:]
+        comp = basis.conj().swapaxes(1, 2) @ (c_a[g] - c_b[g]) @ basis
+        w, v = np.linalg.eigh((comp + comp.conj().swapaxes(1, 2)) / 2)
+        plus = basis @ (v * (w >= 0)[:, None, :])
+        first[g] = plus @ plus.conj().swapaxes(1, 2)
+    return first
+
+
+def _pairwise_resplit(m_arr, c_arr, pairs, split, sweeps=3):
+    """``values._resplit_pvms`` with the outcome pairs run one at a time in
+    the order ``pairs``, each over the stack of questions, split by
+    ``split(P, C_a, C_b)``."""
     m_arr = m_arr.copy()
-    d = m_arr.shape[-1]
     scores = np.einsum("qaij,qaji->qa", m_arr, c_arr).real
     active = np.ones(m_arr.shape[0], dtype=bool)
     for _ in range(sweeps):
         changed = np.zeros_like(active)
-        for a, b in itertools.combinations(range(m_arr.shape[1]), 2):
+        for a, b in pairs:
             p = m_arr[:, a] + m_arr[:, b]
-            rank = np.rint(np.einsum("qii->q", p).real).astype(int)
-            qs = np.flatnonzero(active & (rank > 0))
+            qs = np.flatnonzero(active & (np.rint(np.einsum("qii->q", p).real) > 0))
             if qs.size == 0:
                 continue
-            p, rank, c_a, c_b = p[qs], rank[qs], c_arr[qs, a], c_arr[qs, b]
-            vecs = np.linalg.eigh(p)[1]
-            first = np.empty_like(p)
-            for r in set(rank.tolist()):
-                g = rank == r
-                basis = vecs[g, :, d - r:]
-                comp = basis.conj().swapaxes(1, 2) @ (c_a[g] - c_b[g]) @ basis
-                w, v = np.linalg.eigh((comp + comp.conj().swapaxes(1, 2)) / 2)
-                plus = basis @ (v * (w >= 0)[:, None, :])
-                first[g] = plus @ plus.conj().swapaxes(1, 2)
+            p, c_a, c_b = p[qs], c_arr[qs, a], c_arr[qs, b]
+            first = split(p, c_a, c_b)
             second = p - first
             sa = np.einsum("qij,qji->q", first, c_a).real
             sb = np.einsum("qij,qji->q", second, c_b).real
@@ -472,11 +513,27 @@ def _sequential_resplit_pvms(m_arr, c_arr, sweeps=3):
     return m_arr
 
 
+def _sequential_resplit_pvms(m_arr, c_arr):
+    """``values._resplit_pvms`` pair by pair on the round-robin schedule,
+    with the library's per-item arithmetic."""
+    pairs = [pair for layer in round_robin_layers(m_arr.shape[1]) for pair in layer]
+    return _pairwise_resplit(m_arr, c_arr, pairs, _shifted_split)
+
+
+def _combinations_resplit_pvms(m_arr, c_arr):
+    """The earlier re-split, kept as the value reference: the outcome pairs
+    in ``itertools.combinations`` order, split in the range basis of P."""
+    pairs = itertools.combinations(range(m_arr.shape[1]), 2)
+    return _pairwise_resplit(m_arr, c_arr, list(pairs), _range_basis_split)
+
+
 def sequential_seesaw(game, dims=(2, 2), restarts=10, max_iters=100,
-                      seed=0, classical_seed=None):
+                      seed=0, classical_seed=None, resplit=_sequential_resplit_pvms):
     """``values.entangled_lower_bound`` with the restarts run one after
     another, each measurement half-step re-split pair by pair
     (``_sequential_resplit_pvms``): the library must match it bit for bit.
+    With ``resplit=_combinations_resplit_pvms`` it is the earlier see-saw
+    (``combinations_seesaw``).
 
     Returns the same ``ValueResult``; its extras also hold
     ``"restart_iters"``, the iterations each restart ran, so a test can
@@ -513,12 +570,12 @@ def sequential_seesaw(game, dims=(2, 2), restarts=10, max_iters=100,
             psi_m = psi.reshape(d1, d2)
             k2 = np.einsum("ij,pakj,lk->pail", psi_m, n_arr, psi_m.conj())
             c1 = np.einsum("qpab,pbil->qail", piR, k2)
-            m_arr = _sequential_resplit_pvms(m_arr, c1)
+            m_arr = resplit(m_arr, c1)
             trace.append(_objective(piR, psi_m, m_arr, n_arr))
 
             b = np.einsum("ij,qaik,kl->qajl", psi_m.conj(), m_arr, psi_m)
             c2 = np.einsum("qpab,qajl->pblj", piR, b)
-            n_arr = _sequential_resplit_pvms(n_arr, c2)
+            n_arr = resplit(n_arr, c2)
             val = _objective(piR, psi_m, m_arr, n_arr)
             trace.append(val)
             if val - prev < 1e-12:
@@ -543,6 +600,13 @@ def sequential_seesaw(game, dims=(2, 2), restarts=10, max_iters=100,
 # ---------------------------------------------------------------------------
 # nested-loop references for the array-based two-prover tables: each returns
 # (pi, R) as nested lists, built one entry at a time
+
+
+def combinations_seesaw(game, **kwargs):
+    """The see-saw before the round-robin schedule, bit for bit: outcome
+    pairs in ``itertools.combinations`` order, each split in the range
+    basis of ``eigh(P)``.  The value reference for the library's see-saw."""
+    return sequential_seesaw(game, resplit=_combinations_resplit_pvms, **kwargs)
 
 
 def naive_parallel_repeat(game, n):

@@ -84,6 +84,21 @@ def test_validate_proof_mixture():
     assert validate(dense) == ["theta: entry 0.125 does not match mode rational"]
 
 
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
+def test_validate_proof_letters_outside_the_alphabet(mode):
+    game = tiny_1in3()
+    assert (game.positions, game.alphabet_size) == (4, 2)
+    for letter in (5, -1):
+        proof = PcpProofDistribution.point_mass((0, 0, 0, letter), 2, mode)
+        assert validate(proof) == [f"proof 0 has letter {letter} at position 3, "
+                                   "outside 0..1"]
+    half = scalars.one(mode) / 2
+    mix = PcpProofDistribution(4, 2, (half, half), mode,
+                               proofs=((1, 0, 1, 0), (0, 2, 1, -1)))
+    assert validate(mix) == ["proof 1 has letter 2 at position 1, outside 0..1"]
+    assert validate(PcpProofDistribution.point_mass((1, 0, 1, 0), 2, mode)) == []
+
+
 def test_validate_multi_round_strategy():
     bad = MultiRoundStrategy(2, 2, 1, ((
         (Fraction(1, 2), Fraction(1, 4)),
